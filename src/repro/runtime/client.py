@@ -451,8 +451,20 @@ class StreamingRuntime:
         ``detail=True`` to get a :class:`PartialEstimate` carrying the
         per-shard status and mass coverage alongside the estimates;
         otherwise just the (possibly NaN-holed) array is returned.
+
+        Each call is timed as the ``runtime.query`` stage.
         """
         self._require()
+        with self.metrics.timer("runtime.query"):
+            return self._query(flow_ids, method, deadline, detail)
+
+    def _query(
+        self,
+        flow_ids: FlowIdArray,
+        method: str,
+        deadline: float | None,
+        detail: bool,
+    ) -> "npt.NDArray[np.float64] | PartialEstimate":
         window = self.query_deadline if deadline is None else float(deadline)
         t_end = time.monotonic() + window
         flow_ids = np.asarray(flow_ids, dtype=np.uint64)

@@ -50,6 +50,7 @@ from repro.runtime.partitioner import ShardMap
 from repro.runtime.queues import DEFAULT_QUEUE_DEPTH  # noqa: F401  (re-export)
 from repro.runtime.transport import (
     BACKPRESSURE_POLICIES,
+    STALL_SLICE_SECONDS,
     ShardChannel,
     Transport,
 )
@@ -69,6 +70,17 @@ from repro.runtime.worker import WorkerSpec, worker_main
 
 #: Seconds a worker gets to boot/recover before the supervisor gives up.
 READY_TIMEOUT = 60.0
+
+#: Seconds a stopped worker gets to exit before it is SIGKILLed.
+STOP_TIMEOUT = 5.0
+
+
+def _join_or_kill(process: "mp.process.BaseProcess") -> None:
+    """Bounded join of a worker sent ``stop``; SIGKILL if it overstays."""
+    process.join(timeout=STOP_TIMEOUT)
+    if process.is_alive():  # pragma: no cover - hard fallback
+        process.kill()
+        process.join(timeout=5.0)
 
 
 def _core_budget() -> int:
@@ -284,16 +296,7 @@ class ShardSupervisor:
         for handle in self._all_handles():
             if handle.process is None:
                 continue
-            # Join in slices, re-waking the worker each time: the stop
-            # message may still be in flight behind the wake that was
-            # sent with it (see ShardChannel.nudge).
-            deadline = time.monotonic() + 5.0
-            while handle.process.is_alive() and time.monotonic() < deadline:
-                handle.channel.nudge()
-                handle.process.join(timeout=0.01)
-            if handle.process.is_alive():  # pragma: no cover - hard fallback
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
+            _join_or_kill(handle.process)
             handle.channel.close()
 
     # -- message pump and crash recovery ------------------------------------
@@ -660,13 +663,7 @@ class ShardSupervisor:
                 donor.channel.send_control(("stop",))
             except (OSError, ValueError):  # pragma: no cover
                 pass
-            deadline = time.monotonic() + 5.0
-            while donor.process.is_alive() and time.monotonic() < deadline:
-                donor.channel.nudge()
-                donor.process.join(timeout=0.01)
-            if donor.process.is_alive():  # pragma: no cover - hard fallback
-                donor.process.kill()
-                donor.process.join(timeout=5.0)
+            _join_or_kill(donor.process)
         donor.channel.close()
         donor.retained.clear()
         for successor in op.successors:
@@ -824,16 +821,30 @@ class ShardSupervisor:
                 )
             time.sleep(0.01)
 
+    def _await(self, handle: WorkerHandle, deadline: float) -> None:
+        """Block until ``handle``'s worker sends a message, one stall
+        slice, or ``deadline`` — whichever comes first — then pump.
+
+        The wait wakes on the message itself instead of sleeping between
+        polls; the pump every slice keeps death detection and the
+        watchdog running for every shard meanwhile."""
+        wait = min(STALL_SLICE_SECONDS, deadline - time.monotonic())
+        if wait > 0:
+            msg = handle.channel.recv(wait)
+            if msg is not None:
+                self._handle_msg(handle, msg)
+        self.pump()
+
     def wait_finalized(self, timeout: float = 300.0) -> None:
         deadline = time.monotonic() + timeout
-        while any(h.finalized is None for h in self.handles):
-            self.pump()
+        self.pump()
+        while missing := [h for h in self.handles if h.finalized is None]:
             if time.monotonic() > deadline:
-                missing = [
-                    h.spec.shard_id for h in self.handles if h.finalized is None
-                ]
-                raise IngestError(f"shards {missing} did not finalize in {timeout:.0f}s")
-            time.sleep(0.005)
+                raise IngestError(
+                    f"shards {[h.spec.shard_id for h in missing]} "
+                    f"did not finalize in {timeout:.0f}s"
+                )
+            self._await(missing[0], deadline)
         # Drained and quiet: reclaim whatever any dead incarnation
         # leaked along the way (checkpoint temp files, orphaned shm
         # segments) while every worker is provably past writing them.
@@ -930,11 +941,11 @@ class ShardSupervisor:
         error still raises — that is a genuine query failure, not a
         liveness problem."""
         handle = self.handles[shard]
+        self.pump()
         while qid not in handle.replies:
-            self.pump()
             if time.monotonic() > deadline:
                 return None
-            time.sleep(0.005)
+            self._await(handle, deadline)
         est, err = handle.replies.pop(qid)
         if err is not None:
             raise IngestError(f"shard {shard} query failed: {err}")

@@ -46,8 +46,11 @@ within one stall slice").
 
 from __future__ import annotations
 
+import queue as queue_mod
+import threading
 import time
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -58,6 +61,7 @@ from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import multiprocessing.context
+    from multiprocessing.queues import Queue
 
 #: Accepted values for the runtime's ``backpressure=`` option.
 BACKPRESSURE_POLICIES = ("block", "shed", "error")
@@ -84,27 +88,68 @@ class WorkerTransport(ABC):
     Built by :meth:`ShardChannel.open` in the supervisor process and
     shipped to the worker as a ``Process`` argument; the worker calls
     :meth:`open` once before use to attach process-local resources.
+
+    Both transports carry control and worker messages on
+    ``multiprocessing`` queues (``control``, ``outbox``). A queue's
+    ``put`` hands the payload to a feeder thread, so a wake-up sent
+    alongside a control message could land before the message is
+    readable. The worker loop therefore never polls ``control`` itself:
+    :meth:`open` starts one listener thread per incarnation that blocks
+    on it, appends each message to a local deque, and only *then* rings
+    :meth:`_wake`, the data-plane wake the loop already sleeps on. The
+    loop sees the message at its next control check — at once when
+    idle, after the chunk in flight when busy — and answers it on the
+    main thread.
     """
 
-    @abstractmethod
+    control: "Queue"
+    outbox: "Queue"
+
     def open(self) -> None:
-        """Attach in the worker process (e.g. map the shared ring)."""
+        """Attach in the worker process and start the control listener."""
+        self._attach()
+        self._inbound: deque[tuple] = deque()
+        threading.Thread(
+            target=self._listen_control, name="repro-control", daemon=True
+        ).start()
+
+    @abstractmethod
+    def _attach(self) -> None:
+        """Attach process-local resources (e.g. map the shared ring)."""
+
+    @abstractmethod
+    def _wake(self) -> None:
+        """End a :meth:`recv_data` wait early (best effort; called from
+        the listener thread)."""
+
+    def _listen_control(self) -> None:
+        while True:
+            try:
+                message = self.control.get()
+            except (EOFError, OSError, ValueError):
+                return
+            self._inbound.append(message)
+            self._wake()
 
     @abstractmethod
     def recv_data(
         self, timeout: float
     ) -> tuple | None:
         """Next data-plane message — ``("chunk", seq, packets, lengths)``
-        or ``("drain",)`` — or ``None`` after ``timeout`` seconds."""
+        or ``("drain",)`` — or ``None`` after ``timeout`` seconds or a
+        :meth:`_wake`."""
 
-    @abstractmethod
     def recv_control(self) -> tuple | None:
         """Next control-plane message (``("query", ...)`` / ``("stop",)``)
-        without blocking, or ``None``."""
+        the listener has delivered, or ``None``; never blocks."""
+        try:
+            return self._inbound.popleft()
+        except IndexError:
+            return None
 
-    @abstractmethod
     def send(self, message: tuple) -> None:
         """Ship one message (ack/checkpoint/reply/...) to the supervisor."""
+        self.outbox.put(message)
 
     @abstractmethod
     def close(self) -> None:
@@ -122,6 +167,11 @@ class ShardChannel(ABC):
     them unusable), :meth:`close` is the final cleanup. Sends in
     progress across a restart re-read the channel's state every stall
     slice, so they transparently retry against the replacement.
+
+    Every transport keeps the control and message planes on two
+    ``multiprocessing`` queues (``_control``, ``_outbox``), which
+    :meth:`open` creates and :meth:`abandon` drops back to ``None``;
+    the plumbing over them lives here, once.
     """
 
     def __init__(
@@ -141,6 +191,8 @@ class ShardChannel(ABC):
         self.metrics = registry
         self._stall_hook = stall_hook
         self.incarnation = 0
+        self._control: "Queue | None" = None
+        self._outbox: "Queue | None" = None
 
     # -- lifecycle (per worker incarnation) ---------------------------------
 
@@ -248,32 +300,42 @@ class ShardChannel(ABC):
 
     # -- control plane ------------------------------------------------------
 
-    @abstractmethod
     def send_control(self, message: tuple) -> None:
-        """Ship one control message (query / stop); must not block on
-        data backpressure."""
+        """Ship one control message (query / stop); never blocks on data
+        backpressure. The worker's control listener wakes its loop once
+        the message is readable (see :class:`WorkerTransport`)."""
+        self._control.put(message)
 
     def nudge(self) -> None:
-        """Re-wake a possibly-sleeping worker (best effort, idempotent).
-
-        Control messages may travel asynchronously (``mp.Queue`` hands
-        them to a feeder thread), so a wake-up signal sent alongside one
-        can land before the message does and the worker goes back to
-        sleep for a full poll interval. Callers waiting on a worker's
-        reaction (e.g. join-after-stop) call this periodically; the
-        default is a no-op for transports whose control plane needs no
-        separate wake-up."""
+        """Ring the worker's data-plane wake once more (best effort,
+        idempotent) — the watchdog's first escalation stage for a
+        silent worker, before SIGTERM. The default is a no-op."""
         return None
 
     # -- message plane (worker -> supervisor) -------------------------------
 
-    @abstractmethod
     def poll(self) -> list[tuple]:
-        """Drain all pending worker messages without blocking."""
+        """Drain all pending worker messages without blocking (``[]`` on
+        an abandoned channel)."""
+        out: list[tuple] = []
+        if self._outbox is None:
+            return out
+        while True:
+            try:
+                out.append(self._outbox.get_nowait())
+            except (queue_mod.Empty, OSError, ValueError):
+                return out
 
-    @abstractmethod
     def recv(self, timeout: float) -> tuple | None:
-        """One worker message, waiting at most ``timeout`` seconds."""
+        """One worker message, waiting at most ``timeout`` seconds;
+        ``None`` on timeout or on an abandoned channel."""
+        outbox = self._outbox
+        if outbox is None:
+            return None
+        try:
+            return outbox.get(timeout=timeout)
+        except (queue_mod.Empty, OSError, ValueError):
+            return None
 
     # -- observability ------------------------------------------------------
 

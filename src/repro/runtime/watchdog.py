@@ -226,10 +226,10 @@ class WatchdogConfig:
     """Escalation schedule for a silent worker.
 
     At ``hang_timeout`` seconds of message silence the worker is nudged
-    (transport wake-up — a worker merely asleep on a lost doorbell
-    recovers here for free); ``term_grace`` seconds later it gets
-    SIGTERM; ``kill_grace`` seconds after that, SIGKILL — which lands in
-    the supervisor's ordinary death-recovery path.
+    (one more transport wake-up, harmless to a live loop);
+    ``term_grace`` seconds later it gets SIGTERM; ``kill_grace`` seconds
+    after that, SIGKILL — which lands in the supervisor's ordinary
+    death-recovery path.
     """
 
     hang_timeout: float = DEFAULT_HANG_TIMEOUT
@@ -277,9 +277,8 @@ class Watchdog:
         self.metrics.gauge(f"runtime.shard{shard}.heartbeat_age").set(age)
         cfg = self.config
         if handle.hang_stage == 0 and age > cfg.hang_timeout:
-            # Stage 1: wake the worker through the transport. A worker
-            # that missed a doorbell (not actually hung) recovers here
-            # without losing any state.
+            # Stage 1: wake the worker through the transport — the last
+            # step that costs no state before the signals.
             handle.channel.nudge()
             handle.hang_stage = 1
             self.metrics.counter("runtime.watchdog.hangs").inc()

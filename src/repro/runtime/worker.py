@@ -77,7 +77,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Reason code marking an ingest-WAL header row (never a real eviction).
 CHUNK_HEADER_REASON = 255
 
-#: How long a blocked data read waits before re-polling the control channel.
+#: Longest idle data wait before the loop comes round for heartbeats and
+#: checkpoint reports; data and control messages end it at once.
 POLL_SECONDS = 0.05
 
 #: Longest a worker waits for a compute slot before proceeding anyway.

@@ -501,11 +501,16 @@ class TestRuntimeObservability:
             checkpoint_mode="delta",
             registry=registry,
         ) as rt:
+            watch = np.arange(8, dtype=np.uint64)
             rt.ingest_stream(stream % 64, chunk_packets=1000)
+            rt.query(watch)
             result = rt.drain()
+            rt.query(watch)
+            rt.query(watch, detail=True)
             ages = rt.checkpoint_ages()
         assert result.restarts == 0
         snap = registry.snapshot()
+        assert snap["timers"]["runtime.query"]["calls"] == 3
         counters = snap["counters"]
         assert counters.get("checkpoint.writes", 0) > 0
         assert counters.get("checkpoint.deltas", 0) > 0
