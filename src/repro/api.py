@@ -197,9 +197,8 @@ def measure(
     ``size_of_interest``, solved by :mod:`repro.core.planner`).
 
     ``engine`` picks the construction path: ``"batched"`` (default,
-    array-native eviction pipeline with run coalescing auto-selected
-    per chunk), ``"runs"`` (run-coalescing cache kernel forced on), or
-    ``"scalar"`` (per-eviction reference). All are bit-identical under
+    compiled cache kernel plus array-native eviction pipeline) or
+    ``"scalar"`` (per-eviction reference). Both are bit-identical under
     the same seed.
 
     ``registry`` (optional :class:`~repro.obs.MetricsRegistry`) turns on

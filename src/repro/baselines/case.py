@@ -10,11 +10,10 @@ precisely why its estimates collapse to ~0 at 183.11 KB in the paper).
 Eviction path: fold the evicted cache value into the flow's compressed
 counter via the DISCO curve — ``c' = inverse(rep(c) + value)`` — the
 power operation the paper charges CASE's processing time with. Like
-CAESAR, CASE runs any engine: ``"batched"`` (default) drains the
-eviction buffer chunk-wise into one vectorized compressed fold (run
-coalescing auto-selected per chunk), ``"runs"`` forces the
-run-coalescing cache kernel on, ``"scalar"`` folds per eviction; all
-are bit-identical under a fixed seed.
+CAESAR, CASE runs either engine: ``"batched"`` (default) drains the
+eviction buffer chunk-wise into one vectorized compressed fold,
+``"scalar"`` folds per eviction; both are bit-identical under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -64,10 +63,8 @@ class CaseConfig:
             raise ConfigError(f"counter_capacity must be >= 1, got {self.counter_capacity}")
         if self.replacement not in ("lru", "random"):
             raise ConfigError(f"replacement must be 'lru' or 'random', got {self.replacement!r}")
-        if self.engine not in ("batched", "runs", "scalar"):
-            raise ConfigError(
-                f"engine must be 'batched', 'runs', or 'scalar', got {self.engine!r}"
-            )
+        if self.engine not in ("batched", "scalar"):
+            raise ConfigError(f"engine must be 'batched' or 'scalar', got {self.engine!r}")
 
     @classmethod
     def for_budgets(
@@ -190,12 +187,7 @@ class Case:
             if self.engine == "scalar":
                 self.cache.process(packets, self._sink_fn)
             else:
-                self.cache.process_into(
-                    packets,
-                    self._buffer,
-                    self._drain_fn,
-                    coalesce=True if self.engine == "runs" else None,
-                )
+                self.cache.process_into(packets, self._buffer, self._drain_fn)
         self._packets_seen += len(packets)
 
     def finalize(self) -> None:

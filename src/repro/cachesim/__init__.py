@@ -10,11 +10,10 @@ only on *eviction* — either because an entry's count reached ``y``
 
 Evictions flow out either through a per-event sink callback (the
 scalar reference path) or through a preallocated
-:class:`EvictionBuffer` drained in array chunks (the batched engine).
-Chunks with enough temporal locality take the run-coalescing kernel
-(:mod:`repro.cachesim.runs`): maximal same-flow runs are detected
-vectorized and replayed in O(1) each via closed-form overflow
-expansion, bit-identical to the per-packet loop.
+:class:`EvictionBuffer` drained in array chunks (the batched engine),
+which runs the whole cache loop in a compiled kernel
+(:mod:`repro.cachesim.kernel`, built and loaded when this package is
+imported), bit-identical to the scalar path.
 """
 
 from repro.cachesim.base import CachePolicy, CacheStats, Eviction, EvictionReason
@@ -22,13 +21,6 @@ from repro.cachesim.buffer import DEFAULT_BUFFER_CAPACITY, EvictionBuffer, Evict
 from repro.cachesim.cache import FlowCache
 from repro.cachesim.lru import LRUPolicy
 from repro.cachesim.random_replace import RandomPolicy
-from repro.cachesim.runs import (
-    RUN_COALESCE_THRESHOLD,
-    count_runs,
-    find_runs,
-    replay_runs_into,
-    should_coalesce,
-)
 
 __all__ = [
     "CachePolicy",
@@ -40,10 +32,5 @@ __all__ = [
     "EvictionReason",
     "FlowCache",
     "LRUPolicy",
-    "RUN_COALESCE_THRESHOLD",
     "RandomPolicy",
-    "count_runs",
-    "find_runs",
-    "replay_runs_into",
-    "should_coalesce",
 ]

@@ -163,8 +163,8 @@ class CachePolicy(Protocol):
     """Victim-selection strategy for a full cache table.
 
     The cache calls ``insert`` when a flow is allocated an entry,
-    ``touch`` on every hit, ``remove`` when an entry is freed, and
-    ``victim`` to pick the entry to replace. Implementations must keep
+    ``touch`` on every hit, ``remove`` when an entry is freed, ``clear``
+    when the table empties, and ``victim`` to pick the entry to replace. Implementations must keep
     their bookkeeping consistent with exactly that call sequence.
     """
 
@@ -173,6 +173,8 @@ class CachePolicy(Protocol):
     def touch(self, flow_id: int) -> None: ...
 
     def remove(self, flow_id: int) -> None: ...
+
+    def clear(self) -> None: ...
 
     def victim(self) -> int: ...
 

@@ -5,7 +5,7 @@ callback (``sink(flow_id, value, reason)``); real implementations of
 cache-assisted schemes instead *buffer* the cache → SRAM traffic and
 land it in bursts. :class:`EvictionBuffer` is that buffer: three
 preallocated NumPy columns (flow IDs, values, reason codes) plus a
-length cursor. The cache appends scalars into the next free row; when
+length cursor. The cache appends into the next free row; when
 the buffer fills — or at an API boundary — the whole chunk is handed to
 the scheme's *drain* as array views, where it is split and scatter-added
 in a handful of vectorized calls instead of thousands of scalar ones.
@@ -40,8 +40,9 @@ EvictionDrain = Callable[
 class EvictionBuffer:
     """Fixed-capacity columnar buffer of pending evictions.
 
-    Appends are scalar (the cache loop is scalar by nature); drains are
-    array views over the filled prefix. The cache owns *when* to drain
+    The compiled cache kernel writes rows straight into the columns
+    (scalar :meth:`append` serves Python callers); drains are array
+    views over the filled prefix. The cache owns *when* to drain
     (on overflow and at API boundaries); the scheme owns *what* a drain
     does.
     """
@@ -67,25 +68,6 @@ class EvictionBuffer:
         self.reasons[n] = reason_code
         self.length = n + 1
         return self.length == self.capacity
-
-    def extend_same(self, flow_id: int, value: int, reason_code: int, n: int) -> int:
-        """Append up to ``n`` copies of one eviction row (a coalesced
-        run's closed-form expansion); returns how many were appended.
-
-        Fills at most the remaining space — the caller loops, flushing
-        between rounds, so chunk boundaries land exactly where ``n``
-        scalar :meth:`append` calls would have put them.
-        """
-        start = self.length
-        space = self.capacity - start
-        if n > space:
-            n = space
-        end = start + n
-        self.ids[start:end] = flow_id
-        self.values[start:end] = value
-        self.reasons[start:end] = reason_code
-        self.length = end
-        return n
 
     @property
     def is_full(self) -> bool:

@@ -15,17 +15,18 @@ Evictions leave the cache along one of two equivalent paths:
 - **scalar reference** — a caller-supplied *sink* callable
   ``sink(flow_id, value, reason)`` fired per eviction (CAESAR's sink
   splits the value over k shared counters, CASE's folds it into a
-  compressed counter);
-- **batched** — :meth:`FlowCache.process_into` appends evictions into a
-  preallocated :class:`~repro.cachesim.buffer.EvictionBuffer` and hands
-  full chunks to a *drain* callable as array views, letting the scheme
-  land a whole chunk with a few vectorized calls. When a chunk shows
-  enough temporal locality, the batched path auto-selects the
-  run-coalescing kernel (:mod:`repro.cachesim.runs`), which replays
-  each maximal same-flow run in O(1) instead of per packet.
+  compressed counter), over a dict plus a policy object;
+- **batched** — :meth:`FlowCache.process_into` runs the compiled
+  flow-cache kernel (:mod:`repro.cachesim.kernel`) over an array
+  resident table, appending evictions into a preallocated
+  :class:`~repro.cachesim.buffer.EvictionBuffer` and handing full
+  chunks to a *drain* callable as array views, letting the scheme land
+  a whole chunk with a few vectorized calls.
 
-All paths produce the identical eviction sequence and statistics; the
-cache itself is scheme-agnostic.
+Both paths produce the identical eviction sequence and statistics; the
+resident table moves between the two representations through the
+canonical :meth:`FlowCache.export_state` document whenever a cache
+switches paths. The cache itself is scheme-agnostic.
 """
 
 from __future__ import annotations
@@ -37,23 +38,26 @@ import numpy.typing as npt
 
 from repro.cachesim.base import (
     FINAL_DUMP_CODE,
-    OVERFLOW_CODE,
-    REPLACEMENT_CODE,
     CachePolicy,
     CacheStats,
     Eviction,
     EvictionReason,
 )
 from repro.cachesim.buffer import EvictionBuffer, EvictionDrain
+from repro.cachesim.kernel import ResidentTable
 from repro.cachesim.lru import LRUPolicy
 from repro.cachesim.random_replace import RandomPolicy
-from repro.cachesim.runs import replay_runs_into, should_coalesce
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.trace import EvictionTrace
 
 #: Signature of an eviction sink.
 EvictionSink = Callable[[int, int, EvictionReason], None]
+
+
+# Kept only because perfbench's ``--trace 1`` hook patches this name.
+def should_coalesce(ids: npt.NDArray[np.uint64]) -> bool:
+    return False
 
 
 def make_policy(name: str, seed: int = 0) -> CachePolicy:
@@ -88,7 +92,11 @@ class FlowCache:
         self._policy: CachePolicy = (
             make_policy(policy, seed) if isinstance(policy, str) else policy
         )
+        # The resident table lives in exactly one representation: the
+        # scalar path's dict (plus the policy's own order), or the
+        # kernel's arrays, allocated on first batched use.
         self._counts: dict[int, int] = {}
+        self._table: ResidentTable | None = None
         # Observability is chunk-granular and off by default (the null
         # registry); neither mode ever touches measurement state.
         self._metrics = resolve_registry(registry)
@@ -106,6 +114,8 @@ class FlowCache:
         whole accumulated value is flushed either way, so no mass is
         ever lost.
         """
+        if self._table is not None:
+            self._to_dict()
         counts = self._counts
         stats = self.stats
         stats.accesses += 1
@@ -150,10 +160,9 @@ class FlowCache:
         cache from packet counting to volume counting. This is the
         *scalar reference* path: one :meth:`access` call (dict ops +
         policy ops, all O(1)) and one sink callback per event, kept
-        deliberately simple so the fast paths have a ground truth to be
-        bit-identical against. Throughput lives elsewhere — the batched
-        chunk pipeline (:meth:`process_into`) and the run-coalescing
-        kernel (:mod:`repro.cachesim.runs`) it auto-selects.
+        deliberately simple so the batched path has a ground truth to be
+        bit-identical against. Throughput lives in :meth:`process_into`,
+        which runs the compiled kernel.
         """
         access = self.access
         with self._metrics.timer("cache.process"):
@@ -165,6 +174,53 @@ class FlowCache:
                 raise ConfigError("weights must align with packets")
             for fid, w in zip(packets.tolist(), weights.tolist()):
                 access(fid, sink, w)
+
+    # -- representation switch ------------------------------------------------
+
+    def _to_dict(self) -> None:
+        """Move the resident table into the scalar path's dict + policy."""
+        table = self._table
+        if table is not None:
+            self._table = None
+            self._restore_dict(table.export_state())
+
+    def _to_table(self) -> ResidentTable:
+        """Move the resident table into the kernel's arrays (allocated
+        here, on first batched use)."""
+        table = self._table
+        if table is None:
+            table = ResidentTable(self.num_entries, self.entry_capacity, self._policy)
+            if self._counts:
+                table.load(self.export_state())
+                self._counts = {}
+                self._policy.clear()
+            self._table = table
+        return table
+
+    def _restore_dict(self, state: dict) -> None:
+        ids = np.asarray(state["ids"], dtype=np.uint64)
+        counts = np.asarray(state["counts"], dtype=np.int64)
+        self._counts = dict(zip(ids.tolist(), counts.tolist()))
+        self._policy.restore_state(state["policy"])
+
+    def _entries(self) -> tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64]]:
+        """Resident ids and counts in insertion order."""
+        if self._table is not None:
+            state = self._table.export_state()
+            return state["ids"], state["counts"]
+        n = len(self._counts)
+        return (
+            np.fromiter(self._counts.keys(), dtype=np.uint64, count=n),
+            np.fromiter(self._counts.values(), dtype=np.int64, count=n),
+        )
+
+    def _clear(self) -> None:
+        """Empty the table without flushing anything."""
+        if self._table is not None:
+            self._table.clear()
+        else:
+            self._counts.clear()
+            self._policy.clear()
 
     # -- batched (buffered) path --------------------------------------------
 
@@ -191,145 +247,40 @@ class FlowCache:
         """
         self._flush(buffer, drain)
 
-    def _append_overflow_run(
-        self,
-        buffer: EvictionBuffer,
-        drain: EvictionDrain,
-        flow_id: int,
-        value: int,
-        n: int,
-    ) -> None:
-        """Append ``n`` identical OVERFLOW evictions (a coalesced run's
-        closed-form expansion), flushing whenever the buffer fills —
-        event order and chunk boundaries are exactly those of ``n``
-        scalar appends."""
-        extend = buffer.extend_same
-        while n:
-            n -= extend(flow_id, value, OVERFLOW_CODE, n)
-            if buffer.is_full:
-                self._flush(buffer, drain)
-
     def process_into(
         self,
         packets: npt.NDArray[np.uint64],
         buffer: EvictionBuffer,
         drain: EvictionDrain,
         weights: npt.NDArray[np.int64] | None = None,
-        *,
-        coalesce: bool | None = None,
     ) -> None:
         """Batched counterpart of :meth:`process`: evictions are appended
         to ``buffer`` and delivered to ``drain`` in array chunks.
 
-        Produces the *identical* eviction sequence (and final
-        :class:`CacheStats`) as the scalar path — chunking only changes
-        when work is done, not what is done. The buffer is always
-        flushed before returning, so counters downstream of ``drain``
-        are up to date at every API boundary. ``drain`` must not touch
-        this cache (it runs mid-loop).
-
-        ``coalesce`` picks the loop: ``True`` replays maximal same-flow
-        runs in O(1) via :func:`~repro.cachesim.runs.replay_runs_into`,
-        ``False`` runs the plain per-packet loop, and ``None`` (default)
-        probes the chunk with
-        :func:`~repro.cachesim.runs.should_coalesce` and coalesces only
-        when the locality pays for it. All three are bit-identical.
+        Runs the compiled kernel once per call; it hands control back
+        each time the buffer fills, and the chunk is drained here. The
+        result is the *identical* eviction sequence, chunk boundaries
+        and final :class:`CacheStats` as the scalar path — chunking only
+        changes when work is done, not what is done. The buffer is
+        always flushed before returning, so counters downstream of
+        ``drain`` are up to date at every API boundary. ``drain`` must
+        not touch this cache other than through :meth:`wipe` (it runs
+        mid-loop).
         """
         with self._metrics.timer("cache.process"):
-            if coalesce is None:
-                coalesce = should_coalesce(packets)
-            if coalesce:
-                replay_runs_into(self, packets, buffer, drain, weights)
-            else:
-                self._process_packets_into(packets, buffer, drain, weights)
-
-    def _process_packets_into(
-        self,
-        packets: npt.NDArray[np.uint64],
-        buffer: EvictionBuffer,
-        drain: EvictionDrain,
-        weights: npt.NDArray[np.int64] | None = None,
-    ) -> None:
-        """Untimed per-packet :meth:`process_into` body (one loop per
-        weight mode)."""
-        counts = self._counts
-        policy = self._policy
-        touch, insert, remove, pick_victim = (
-            policy.touch,
-            policy.insert,
-            policy.remove,
-            policy.victim,
-        )
-        get = counts.get
-        append = buffer.append
-        y = self.entry_capacity
-        limit = self.num_entries
-        # Unit-weight inserts overflow a fresh entry only when y == 1.
-        insert_overflows = y <= 1
-        hits = 0
-        n_packets = len(packets)
-        if weights is None:
-            for fid in packets.tolist():
-                cur = get(fid)
-                if cur is not None:
-                    hits += 1
-                    touch(fid)
-                    cur += 1
-                    if cur >= y:
-                        if append(fid, cur, OVERFLOW_CODE):
-                            self._flush(buffer, drain)
-                        counts[fid] = 0
-                    else:
-                        counts[fid] = cur
-                    continue
-                if len(counts) >= limit:
-                    victim = pick_victim()
-                    value = counts.pop(victim)
-                    remove(victim)
-                    if value > 0:
-                        if append(victim, value, REPLACEMENT_CODE):
-                            self._flush(buffer, drain)
-                counts[fid] = 1
-                insert(fid)
-                if insert_overflows:
-                    if append(fid, 1, OVERFLOW_CODE):
-                        self._flush(buffer, drain)
-                    counts[fid] = 0
-        else:
-            if len(weights) != n_packets:
-                raise ConfigError("weights must align with packets")
-            for fid, w in zip(packets.tolist(), weights.tolist()):
-                cur = get(fid)
-                if cur is not None:
-                    hits += 1
-                    touch(fid)
-                    cur += w
-                    if cur >= y:
-                        if append(fid, cur, OVERFLOW_CODE):
-                            self._flush(buffer, drain)
-                        counts[fid] = 0
-                    else:
-                        counts[fid] = cur
-                    continue
-                if len(counts) >= limit:
-                    victim = pick_victim()
-                    value = counts.pop(victim)
-                    remove(victim)
-                    if value > 0:
-                        if append(victim, value, REPLACEMENT_CODE):
-                            self._flush(buffer, drain)
-                counts[fid] = w
-                insert(fid)
-                if w >= y:
-                    # A single jumbo update overflows a fresh entry outright.
-                    if append(fid, w, OVERFLOW_CODE):
-                        self._flush(buffer, drain)
-                    counts[fid] = 0
-        stats = self.stats
-        stats.accesses += n_packets
-        stats.hits += hits
-        stats.misses += n_packets - hits
-        self._flush(buffer, drain)
+            n_packets = len(packets)
+            if weights is not None:
+                if len(weights) != n_packets:
+                    raise ConfigError("weights must align with packets")
+                weights = np.ascontiguousarray(weights, dtype=np.int64)
+            packets = np.ascontiguousarray(packets, dtype=np.uint64)
+            table = self._to_table()
+            hits = table.run(packets, weights, buffer, lambda: self._flush(buffer, drain))
+            stats = self.stats
+            stats.accesses += n_packets
+            stats.hits += hits
+            stats.misses += n_packets - hits
+            self._flush(buffer, drain)
 
     def dump_into(self, buffer: EvictionBuffer, drain: EvictionDrain) -> None:
         """Batched counterpart of :meth:`dump` (buffer flushed on return).
@@ -341,14 +292,21 @@ class FlowCache:
         """
         with self._metrics.timer("cache.dump"):
             self.flush_pending(buffer, drain)
-            append = buffer.append
-            remove = self._policy.remove
-            for flow_id, value in self._counts.items():
-                if value > 0:
-                    if append(flow_id, value, FINAL_DUMP_CODE):
-                        self._flush(buffer, drain)
-                remove(flow_id)
-            self._counts.clear()
+            ids, counts = self._entries()
+            self._clear()
+            keep = counts > 0
+            ids, counts = ids[keep], counts[keep]
+            start = 0
+            while start < len(ids):
+                take = min(buffer.capacity - buffer.length, len(ids) - start)
+                rows = slice(buffer.length, buffer.length + take)
+                buffer.ids[rows] = ids[start : start + take]
+                buffer.values[rows] = counts[start : start + take]
+                buffer.reasons[rows] = FINAL_DUMP_CODE
+                buffer.length += take
+                start += take
+                if buffer.is_full:
+                    self._flush(buffer, drain)
             self._flush(buffer, drain)
 
     # -- end of measurement --------------------------------------------------
@@ -359,6 +317,7 @@ class FlowCache:
         The paper: "At the end of the measurement, we dump all the
         cache entries to the SRAM counters."
         """
+        self._to_dict()
         with self._metrics.timer("cache.dump"):
             for flow_id, value in self._counts.items():
                 if value > 0:
@@ -371,18 +330,25 @@ class FlowCache:
 
     def __len__(self) -> int:
         """Number of resident entries."""
-        return len(self._counts)
+        return len(self._counts) if self._table is None else self._table.size
 
     def __contains__(self, flow_id: int) -> bool:
-        return flow_id in self._counts
+        return self.get(flow_id, None) is not None
 
     def resident_count(self, flow_id: int) -> int:
         """Current cached count of a flow (KeyError if not resident)."""
-        return self._counts[flow_id]
+        value = self.get(flow_id, None)
+        if value is None:
+            raise KeyError(flow_id)
+        return value
 
-    def get(self, flow_id: int, default: int = 0) -> int:
+    def get(self, flow_id: int, default: int | None = 0) -> int | None:
         """Current cached count, or ``default`` if not resident."""
-        return self._counts.get(flow_id, default)
+        if self._table is None:
+            return self._counts.get(flow_id, default)
+        ids, counts = self._table.live()
+        at = np.flatnonzero(ids == flow_id)
+        return int(counts[at[0]]) if len(at) else default
 
     def resident_values(
         self, flow_ids: npt.NDArray[np.uint64]
@@ -392,11 +358,9 @@ class FlowCache:
         table instead of a Python dict lookup per queried flow."""
         flow_ids = np.asarray(flow_ids, dtype=np.uint64)
         out = np.zeros(len(flow_ids), dtype=np.int64)
-        counts = self._counts
-        if not counts:
+        ids, vals = self._table.live() if self._table is not None else self._entries()
+        if not len(ids):
             return out
-        ids = np.fromiter(counts.keys(), dtype=np.uint64, count=len(counts))
-        vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         order = np.argsort(ids)
         ids = ids[order]
         vals = vals[order]
@@ -412,11 +376,12 @@ class FlowCache:
         Returns ``(entries, mass)`` lost so the injector can account the
         loss; the healthy code paths never call this.
         """
-        entries = len(self._counts)
-        mass = sum(self._counts.values())
-        for flow_id in list(self._counts):
-            self._policy.remove(flow_id)
-        self._counts.clear()
+        if self._table is not None:
+            _, counts = self._table.live()
+            entries, mass = len(counts), int(counts.sum())
+        else:
+            entries, mass = len(self._counts), sum(self._counts.values())
+        self._clear()
         return entries, mass
 
     # -- checkpoint state -----------------------------------------------------
@@ -425,6 +390,8 @@ class FlowCache:
         """All mutable cache state, insertion order preserved (checkpoint
         capture). Statistics are captured separately by the checkpoint —
         they live on :attr:`stats`, which callers may swap per epoch."""
+        if self._table is not None:
+            return self._table.export_state()
         n = len(self._counts)
         return {
             "ids": np.fromiter(self._counts.keys(), dtype=np.uint64, count=n),
@@ -437,16 +404,16 @@ class FlowCache:
 
         Dict insertion order determines final-dump order, and the policy
         state determines future victim choices, so both are restored
-        exactly — this is what makes kill-and-resume bit-identical.
+        exactly — this is what makes kill-and-resume bit-identical. The
+        state lands in the scalar representation; the next batched call
+        moves it into the kernel's arrays.
         """
-        ids = np.asarray(state["ids"], dtype=np.uint64)
-        counts = np.asarray(state["counts"], dtype=np.int64)
-        if len(ids) > self.num_entries:
+        if len(state["ids"]) > self.num_entries:
             raise ConfigError(
-                f"cache state holds {len(ids)} entries, table has {self.num_entries}"
+                f"cache state holds {len(state['ids'])} entries, table has {self.num_entries}"
             )
-        self._counts = dict(zip(ids.tolist(), counts.tolist()))
-        self._policy.restore_state(state["policy"])
+        self._table = None
+        self._restore_dict(state)
 
     def reset_stats(self) -> None:
         """Start a fresh statistics epoch (contents untouched; an
@@ -454,8 +421,10 @@ class FlowCache:
         self.stats = CacheStats(trace=self.stats.trace)
 
     def iter_entries(self) -> Iterator[tuple[int, int]]:
-        """Iterate resident ``(flow_id, count)`` pairs (inspection only)."""
-        return iter(self._counts.items())
+        """Iterate resident ``(flow_id, count)`` pairs in insertion order
+        (inspection only)."""
+        ids, counts = self._entries()
+        return zip(ids.tolist(), counts.tolist())
 
     def memory_bits(self, flow_id_bits: int = 64) -> int:
         """On-chip memory footprint: ``M * (id bits + ceil(log2 y) bits)``.

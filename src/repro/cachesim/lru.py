@@ -31,6 +31,10 @@ class LRUPolicy:
         """Forget a freed entry."""
         del self._order[flow_id]
 
+    def clear(self) -> None:
+        """Forget every entry."""
+        self._order.clear()
+
     def victim(self) -> int:
         """The least recently used flow (does not remove it)."""
         if not self._order:

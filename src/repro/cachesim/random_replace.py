@@ -38,6 +38,16 @@ class RandomPolicy:
             self._slots[idx] = last
             self._pos[last] = idx
 
+    def clear(self) -> None:
+        """Forget every entry (the generator keeps its state)."""
+        self._slots.clear()
+        self._pos.clear()
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The victim generator (the batched engine draws from it too)."""
+        return self._rng
+
     def victim(self) -> int:
         """A uniformly random resident flow (does not remove it)."""
         if not self._slots:

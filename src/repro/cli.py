@@ -83,12 +83,11 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=["scalar", "batched", "runs"],
+        choices=["scalar", "batched"],
         default="batched",
-        help="construction engine: 'batched' (array-native eviction pipeline, "
-        "default; auto-selects run coalescing per chunk), 'runs' (run-coalescing "
-        "cache kernel forced on), or 'scalar' (per-eviction reference); "
-        "results are bit-identical",
+        help="construction engine: 'batched' (compiled cache kernel and "
+        "array-native eviction pipeline, default) or 'scalar' (per-eviction "
+        "reference); results are bit-identical",
     )
 
 

@@ -11,24 +11,20 @@ into the two-phase architecture of Figure 1:
   (required before querying; the query phase is strictly offline);
 - :meth:`Caesar.estimate` — offline query via CSM or MLM.
 
-Three construction engines implement the same dataflow:
+Two construction engines implement the same dataflow:
 
-- ``engine="batched"`` (default) — evictions stream through a
+- ``engine="batched"`` (default) — the compiled cache kernel
+  (:mod:`repro.cachesim.kernel`) streams evictions through a
   preallocated :class:`~repro.cachesim.EvictionBuffer`; each drained
   chunk is resolved to counter indices by the array-backed
   :class:`~repro.hashing.family.BankedIndexMemo`, split in one
   vectorized :func:`~repro.core.split.split_batch` call, and landed
-  with a single scatter-add. Chunks with enough temporal locality are
-  auto-routed through the run-coalescing kernel;
-- ``engine="runs"`` — the batched pipeline with run coalescing forced
-  on: maximal same-flow runs are detected vectorized and replayed in
-  O(1) each via closed-form overflow expansion
-  (:mod:`repro.cachesim.runs`);
+  with a single scatter-add;
 - ``engine="scalar"`` — the per-eviction callback reference path.
 
-All are *bit-identical* under a fixed seed: the batched splitter
-consumes the generator exactly like the scalar loop and the run kernel
-replays exactly the per-packet semantics, so evictions, counters,
+Both are *bit-identical* under a fixed seed: the kernel replays exactly
+the per-packet semantics and the batched splitter consumes the
+generator exactly like the scalar loop, so evictions, counters,
 statistics, and generator state all match (enforced by
 ``tests/test_engine_equivalence.py``).
 """
@@ -244,14 +240,8 @@ class Caesar:
             if self.engine == "scalar":
                 self.cache.process(packets, self._sink_fn, weights=lengths)
             else:
-                # "batched" auto-selects run coalescing per chunk;
-                # "runs" forces the run kernel on.
                 self.cache.process_into(
-                    packets,
-                    self._buffer,
-                    self._drain_fn,
-                    weights=lengths,
-                    coalesce=True if self.engine == "runs" else None,
+                    packets, self._buffer, self._drain_fn, weights=lengths
                 )
         self._packets_seen += len(packets)
         self._mass_seen += int(lengths.sum()) if lengths is not None else len(packets)

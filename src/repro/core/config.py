@@ -40,12 +40,11 @@ class CaesarConfig:
     seed:
         Master seed for the hash family and all randomized choices.
     engine:
-        Construction dataflow: ``"batched"`` (default — evictions are
-        buffered and landed in vectorized chunks, with run coalescing
-        auto-selected per chunk), ``"runs"`` (the batched pipeline with
-        run coalescing forced on), or ``"scalar"`` (the per-event
-        callback reference path). All produce bit-identical results
-        under the same seed; batched/runs are several times faster.
+        Construction dataflow: ``"batched"`` (default — the compiled
+        cache kernel buffers evictions, which land in vectorized
+        chunks) or ``"scalar"`` (the per-event callback reference
+        path). Both produce bit-identical results under the same seed;
+        batched is many times faster.
     """
 
     cache_entries: int
@@ -76,10 +75,8 @@ class CaesarConfig:
             raise ConfigError(f"replacement must be 'lru' or 'random', got {self.replacement!r}")
         if self.remainder not in ("random", "even"):
             raise ConfigError(f"remainder must be 'random' or 'even', got {self.remainder!r}")
-        if self.engine not in ("batched", "runs", "scalar"):
-            raise ConfigError(
-                f"engine must be 'batched', 'runs', or 'scalar', got {self.engine!r}"
-            )
+        if self.engine not in ("batched", "scalar"):
+            raise ConfigError(f"engine must be 'batched' or 'scalar', got {self.engine!r}")
 
     # -- memory accounting ----------------------------------------------------
 

@@ -33,6 +33,13 @@ class TraceFormatError(ReproError):
     """A serialized trace or header file could not be parsed."""
 
 
+class KernelBuildError(ReproError):
+    """The compiled flow-cache kernel could not be built or loaded.
+
+    Carries the C compiler's message. Only the batched cache engine
+    needs the kernel; the scalar reference path works without it."""
+
+
 class IngestError(ReproError):
     """The streaming ingest runtime could not make progress.
 

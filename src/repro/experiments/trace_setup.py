@@ -42,9 +42,8 @@ class ExperimentSetup:
     scale: float
     seed: int
     k: int = DEFAULT_K
-    #: Construction engine for cache-assisted schemes ("batched",
-    #: "runs", or "scalar"); all are bit-identical, batched/runs are
-    #: faster.
+    #: Construction engine for cache-assisted schemes ("batched" or
+    #: "scalar"); both are bit-identical, batched is faster.
     engine: str = "batched"
     #: Optional metrics registry threaded into every scheme the
     #: experiment builders construct (None = observability off).

@@ -4,10 +4,10 @@ The PR-0/PR-1 snapshot (:mod:`repro.sram.snapshot`) persists the SRAM
 counters alone — enough to re-run the offline query phase, not enough
 to *continue construction*: mid-measurement, flow state also lives in
 the on-chip cache, the index memo, the split generator, the replacement
-policy, and (on the batched/runs engines) a partially-filled eviction
-buffer. The run-coalescing kernel holds no pending state of its own —
-every ``process`` call replays its chunk's runs to completion — so the
-captured members cover all three engines alike.
+policy, and (on the batched engine) a partially-filled eviction
+buffer. The compiled cache kernel holds no pending state of its own —
+every ``process`` call runs its chunk to completion — so the captured
+members cover both engines alike.
 :class:`Checkpoint` captures every one of those, so a process killed at
 any eviction-chunk boundary can :meth:`restore` and finish the stream
 **bit-identically** to an uninterrupted run — same counters, same
@@ -105,7 +105,7 @@ def write_npz(path: Path, members: dict[str, np.ndarray], level: int = 1) -> Non
 def _digest(arrays: dict[str, np.ndarray], config_json: str, state_json: str) -> str:
     """SHA-256 over every member in fixed order (content integrity).
 
-    Engine-invariant by construction: the three engines are
+    Engine-invariant by construction: the two engines are
     bit-identical by contract, so two checkpoints capturing the same
     measurement state digest equal no matter which engine built them
     (tests/test_engine_equivalence.py relies on this). Presentation
@@ -114,7 +114,7 @@ def _digest(arrays: dict[str, np.ndarray], config_json: str, state_json: str) ->
     sorted, and the eviction-value histogram is hashed key-sorted (the
     memo's first-seen order and the histogram dict's insertion order
     follow per-event order on the scalar engine but sorted-per-chunk
-    order on the batched ones; neither affects any measurement
+    order on the batched one; neither affects any measurement
     output). The stored members themselves are untouched — a resumed
     run keeps its engine, memo order, and histogram order exactly.
     """

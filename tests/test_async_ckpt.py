@@ -248,7 +248,7 @@ class TestDeltaFormat:
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     n_cuts=st.integers(min_value=2, max_value=5),
-    engine=st.sampled_from(["batched", "runs", "scalar"]),
+    engine=st.sampled_from(["batched", "scalar"]),
 )
 @settings(max_examples=10, deadline=None)
 def test_property_delta_chain_equals_full(tiny_packets, seed, n_cuts, engine):

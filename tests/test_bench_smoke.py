@@ -78,14 +78,14 @@ class TestBenchResultsSchema:
         assert "bench_caesar_construction_scalar" in recorded
         assert "bench_caesar_construction_batched" in recorded
 
-    def test_run_kernel_benches_recorded(self, results):
-        """The run-kernel/per-packet pairs back the speedup claims in
-        docs/performance.md and the CI regression guard — all six must
-        be present in the artifact."""
+    def test_cache_kernel_benches_recorded(self, results):
+        """The kernel/scalar-reference pairs back the cache-loop speedup
+        claims in docs/performance.md — all six must be present in the
+        artifact."""
         recorded = {entry["name"] for entry in results["benchmarks"]}
         for stream in ("zipf", "bursty", "uniform"):
-            assert f"bench_run_kernel_{stream}" in recorded, stream
-            assert f"bench_packet_loop_{stream}" in recorded, stream
+            assert f"bench_cache_kernel_{stream}" in recorded, stream
+            assert f"bench_cache_scalar_{stream}" in recorded, stream
 
     def test_runtime_transport_benches_recorded(self, results):
         """Both transports' worker-scaling curves must be in the
@@ -168,7 +168,7 @@ class TestBenchSuiteRuns:
                 sys.executable, "-m", "pytest", str(BENCH_FILE),
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
-                      " or run_kernel_zipf",
+                      " or cache_kernel_zipf",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

@@ -205,7 +205,7 @@ class TestFinalizeFlushesPendingChunk:
         cache.dump_into(buffer, drain)
         assert chunks == [[(9, 2, OVERFLOW_CODE)], [(1, 3, FINAL_DUMP_CODE)]]
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "runs"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_caesar_finalize_on_zero_packet_stream(self, engine):
         from repro.core.caesar import Caesar
         from repro.core.config import CaesarConfig
@@ -222,7 +222,7 @@ class TestFinalizeFlushesPendingChunk:
         stats = caesar.cache.stats
         assert (stats.accesses, stats.evicted_packets, stats.dumped_packets) == (0, 0, 0)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "runs"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_case_finalize_on_zero_packet_stream(self, engine):
         from repro.baselines.case import Case, CaseConfig
 
@@ -239,7 +239,7 @@ class TestFinalizeFlushesPendingChunk:
         case.finalize()
         assert case.estimate(np.array([5], dtype=np.uint64)) == pytest.approx([0.0])
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "runs"])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_caesar_double_finalize_after_work_is_stable(self, engine, tiny_trace):
         from repro.core.caesar import Caesar
         from repro.core.config import CaesarConfig

@@ -1,112 +1,111 @@
-"""Run-coalescing kernel: run detection, closed forms, buffer boundaries.
+"""Same-flow runs and buffer edges: the compiled kernel vs the scalar oracle.
 
-The engine-level bit-identity contract lives in
-``tests/test_engine_equivalence.py``; this file tests the kernel's
-pieces directly — vectorized run detection against a pure-Python
-reference, the closed-form overflow expansions against brute-force
-per-packet simulation, the bulk buffer append, and the mid-expansion
-flush discipline when a single run emits more evictions than the
-remaining :class:`EvictionBuffer` space.
+The batched path (:meth:`FlowCache.process_into`, the compiled kernel in
+:mod:`repro.cachesim.kernel`) must emit exactly the scalar path's
+eviction rows, with chunk boundaries exactly where a buffer of the same
+capacity fills, and leave the same statistics, resident table, policy
+order and generator state. The engine-level contract lives in
+``tests/test_engine_equivalence.py``; this file pins the edges: runs
+that overflow the buffer mid-run, jumbo and non-positive weights,
+``y = 1``, ``M = 1``, zero-packet chunks, buffers so small that the
+kernel must return between a replacement row and the new flow's
+overflow row, and a checkpoint/restore at any chunk boundary. It also
+pins the numpy property the random-replacement look-ahead relies on.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.base import FINAL_DUMP_CODE, OVERFLOW_CODE
+from repro.cachesim import kernel
+from repro.cachesim.base import FINAL_DUMP_CODE, OVERFLOW_CODE, REPLACEMENT_CODE
 from repro.cachesim.buffer import EvictionBuffer
 from repro.cachesim.cache import FlowCache
-from repro.cachesim.runs import (
-    RUN_COALESCE_THRESHOLD,
-    count_runs,
-    find_runs,
-    should_coalesce,
-    uniform_weight_runs,
-    unit_run_overflows,
-    weighted_run_overflows,
-)
-from repro.errors import ConfigError
-from repro.obs.registry import MetricsRegistry
+from repro.errors import ConfigError, KernelBuildError
+
+# -- oracle helpers ---------------------------------------------------------
 
 
-def _runs_reference(ids: list[int]) -> list[tuple[int, int]]:
-    """Pure-Python maximal-run detection: [(start, length), ...]."""
-    out: list[tuple[int, int]] = []
-    for i, fid in enumerate(ids):
-        if i == 0 or fid != ids[i - 1]:
-            out.append((i, 1))
-        else:
-            start, length = out[-1]
-            out[-1] = (start, length + 1)
-    return out
+def _parts(packets, weights=None, cuts=()):
+    """Split a stream (and its weights) at the given packet offsets."""
+    bounds = [0, *sorted(cuts), len(packets)]
+    return [
+        (packets[a:b], None if weights is None else weights[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-# -- run detection ---------------------------------------------------------
+def _scalar(parts, *cache_args, **cache_kwargs):
+    """Scalar oracle: one event list per ``process`` call, then the
+    dump's; plus the final stats."""
+    cache = FlowCache(*cache_args, **cache_kwargs)
+    calls = []
+    for packets, weights in parts:
+        events: list[tuple[int, int, int]] = []
+        cache.process(
+            packets, lambda f, v, r: events.append((f, v, r.code)), weights=weights
+        )
+        calls.append(events)
+    state = cache.export_state()
+    events = []
+    cache.dump(lambda f, v, r: events.append((f, v, r.code)))
+    calls.append(events)
+    return calls, cache.stats, state
 
 
-class TestFindRuns:
-    def test_empty(self):
-        starts, lengths = find_runs(np.array([], dtype=np.uint64))
-        assert len(starts) == 0 and len(lengths) == 0
-        assert count_runs(np.array([], dtype=np.uint64)) == 0
-
-    def test_single_packet(self):
-        starts, lengths = find_runs(np.array([7], dtype=np.uint64))
-        assert starts.tolist() == [0] and lengths.tolist() == [1]
-
-    def test_all_same_flow(self):
-        starts, lengths = find_runs(np.full(100, 3, dtype=np.uint64))
-        assert starts.tolist() == [0] and lengths.tolist() == [100]
-
-    def test_alternating(self):
-        ids = np.array([1, 2, 1, 2], dtype=np.uint64)
-        starts, lengths = find_runs(ids)
-        assert starts.tolist() == [0, 1, 2, 3]
-        assert lengths.tolist() == [1, 1, 1, 1]
-        assert count_runs(ids) == 4
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=200))
-    def test_matches_reference(self, ids):
-        arr = np.array(ids, dtype=np.uint64)
-        starts, lengths = find_runs(arr)
-        expected = _runs_reference(ids)
-        assert list(zip(starts.tolist(), lengths.tolist())) == expected
-        assert count_runs(arr) == len(expected)
-        assert int(lengths.sum()) == len(ids)
-
-    def test_should_coalesce_threshold(self):
-        # 8 packets / 2 runs = mean run length 4 >= threshold.
-        bursty = np.repeat(np.array([1, 2], dtype=np.uint64), 4)
-        assert should_coalesce(bursty)
-        # All distinct: mean run length 1 < threshold.
-        assert not should_coalesce(np.arange(8, dtype=np.uint64))
-        # Too short to be worth probing.
-        assert not should_coalesce(np.array([], dtype=np.uint64))
-        assert not should_coalesce(np.array([1], dtype=np.uint64))
-        assert RUN_COALESCE_THRESHOLD > 1.0
+def _chunked(calls, capacity):
+    """Where a buffer of ``capacity`` rows cuts each call's events: it
+    drains when full and at the end of every call."""
+    return [
+        events[i : i + capacity]
+        for events in calls
+        for i in range(0, len(events), capacity)
+    ]
 
 
-class TestUniformWeightRuns:
-    def test_flags_per_run(self):
-        #          |--run 1--|  |r2|  |--run 3--|
-        ids = np.array([1, 1, 1, 2, 3, 3], dtype=np.uint64)
-        weights = np.array([4, 4, 4, 9, 2, 5], dtype=np.int64)
-        starts, _ = find_runs(ids)
-        assert uniform_weight_runs(weights, starts).tolist() == [True, True, False]
+def _kernel(parts, capacity, *cache_args, **cache_kwargs):
+    cache = FlowCache(*cache_args, **cache_kwargs)
+    buffer = EvictionBuffer(capacity)
+    chunks: list[list[tuple[int, int, int]]] = []
 
-    def test_boundary_weight_change_stays_uniform(self):
-        # The weight changes exactly at a run boundary: both uniform.
-        ids = np.array([1, 1, 2, 2], dtype=np.uint64)
-        weights = np.array([3, 3, 8, 8], dtype=np.int64)
-        starts, _ = find_runs(ids)
-        assert uniform_weight_runs(weights, starts).tolist() == [True, True]
+    def drain(ids, values, reasons):
+        chunks.append(list(zip(ids.tolist(), values.tolist(), reasons.tolist())))
+
+    for packets, weights in parts:
+        cache.process_into(packets, buffer, drain, weights=weights)
+    state = cache.export_state()
+    cache.dump_into(buffer, drain)
+    return chunks, cache.stats, state
 
 
-# -- closed forms vs brute force -------------------------------------------
+def _assert_matches_scalar(parts, capacity, *cache_args, **cache_kwargs):
+    calls, s_stats, s_state = _scalar(parts, *cache_args, **cache_kwargs)
+    chunks, k_stats, k_state = _kernel(parts, capacity, *cache_args, **cache_kwargs)
+    assert chunks == _chunked(calls, capacity)
+    assert k_stats == s_stats
+    assert k_state["ids"].tolist() == s_state["ids"].tolist()
+    assert k_state["counts"].tolist() == s_state["counts"].tolist()
+    assert k_state["policy"] == s_state["policy"]
+    return chunks
+
+
+def _collect(cache: FlowCache, packets, buffer, weights=None):
+    chunks: list[list[tuple[int, int, int]]] = []
+
+    def drain(ids, values, reasons):
+        chunks.append(list(zip(ids.tolist(), values.tolist(), reasons.tolist())))
+
+    cache.process_into(packets, buffer, drain, weights=weights)
+    cache.dump_into(buffer, drain)
+    return chunks
+
+
+# -- a run of one flow vs its closed form -------------------------------------
 
 
 def _brute_force(count: int, run_length: int, weight: int, capacity: int):
@@ -120,6 +119,38 @@ def _brute_force(count: int, run_length: int, weight: int, capacity: int):
     return events, count
 
 
+def _weighted_closed_form(count: int, run_length: int, weight: int, capacity: int):
+    """An equal-weight run is periodic after its first overflow: the
+    first fires after ``ceil((y - c) / w)`` hits, then every
+    ``ceil(y / w)`` hits. Returns (eviction values, final count)."""
+    to_first = -((count - capacity) // weight)
+    if run_length < to_first:
+        return [], count + run_length * weight
+    cycle = -(-capacity // weight)
+    n_cycles, leftover = divmod(run_length - to_first, cycle)
+    return [count + to_first * weight] + [cycle * weight] * n_cycles, leftover * weight
+
+
+def _kernel_run(count: int, run_length: int, weight: int, capacity: int):
+    """The kernel on ``run_length`` hits of one flow whose entry holds
+    ``count``: (eviction values, final count)."""
+    cache = FlowCache(2, capacity)
+    flow = np.uint64(5)
+    if count:
+        cache.process_into(
+            np.array([flow]), EvictionBuffer(4), lambda i, v, r: None,
+            weights=np.array([count], dtype=np.int64),
+        )
+    values: list[int] = []
+    cache.process_into(
+        np.full(run_length, flow, dtype=np.uint64),
+        EvictionBuffer(3),
+        lambda i, v, r: values.extend(v.tolist()),
+        weights=np.full(run_length, weight, dtype=np.int64),
+    )
+    return values, cache.get(int(flow))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     count=st.integers(min_value=0, max_value=30),
@@ -127,12 +158,12 @@ def _brute_force(count: int, run_length: int, weight: int, capacity: int):
     capacity=st.integers(min_value=1, max_value=31),
 )
 def test_unit_closed_form_matches_brute_force(count, run_length, capacity):
-    if count >= capacity:
-        count %= capacity  # resident counts are always < capacity
+    count %= capacity  # resident counts are always < capacity
     events, final = _brute_force(count, run_length, 1, capacity)
-    n_evict, remainder = unit_run_overflows(count, run_length, capacity)
-    assert events == [capacity] * n_evict
-    assert remainder == final
+    total = count + run_length
+    assert events == [capacity] * (total // capacity)
+    assert final == total % capacity
+    assert _kernel_run(count, run_length, 1, capacity) == (events, final)
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,92 +174,38 @@ def test_unit_closed_form_matches_brute_force(count, run_length, capacity):
     capacity=st.integers(min_value=1, max_value=31),
 )
 def test_weighted_closed_form_matches_brute_force(count, run_length, weight, capacity):
-    if count >= capacity:
-        count %= capacity
-    events, final = _brute_force(count, run_length, weight, capacity)
-    first, n_cycles, cycle_value, remainder = weighted_run_overflows(
-        count, run_length, weight, capacity
-    )
-    expected = [first] + [cycle_value] * n_cycles if first else []
-    assert events == expected
-    assert remainder == final
+    count %= capacity
+    expected = _brute_force(count, run_length, weight, capacity)
+    assert _weighted_closed_form(count, run_length, weight, capacity) == expected
+    assert _kernel_run(count, run_length, weight, capacity) == expected
 
 
 def test_weighted_closed_form_jumbo_cycle_is_every_packet():
     # w >= y: every hit overflows outright (cycle length 1, value w).
-    first, n_cycles, cycle_value, remainder = weighted_run_overflows(2, 3, 15, 10)
-    assert (first, n_cycles, cycle_value, remainder) == (17, 2, 15, 0)
+    assert _weighted_closed_form(2, 3, 15, 10) == ([17, 15, 15], 0)
+    assert _kernel_run(2, 3, 15, 10) == ([17, 15, 15], 0)
 
 
-# -- EvictionBuffer.extend_same --------------------------------------------
-
-
-class TestExtendSame:
-    def test_fills_and_reports(self):
-        buf = EvictionBuffer(5)
-        assert buf.extend_same(9, 4, OVERFLOW_CODE, 3) == 3
-        assert buf.length == 3
-        ids, values, reasons = buf.chunk()
-        assert ids.tolist() == [9, 9, 9]
-        assert values.tolist() == [4, 4, 4]
-        assert reasons.tolist() == [OVERFLOW_CODE] * 3
-
-    def test_caps_at_remaining_space(self):
-        buf = EvictionBuffer(5)
-        buf.append(1, 1, OVERFLOW_CODE)
-        assert buf.extend_same(9, 4, OVERFLOW_CODE, 100) == 4
-        assert buf.is_full
-
-    def test_zero_is_noop(self):
-        buf = EvictionBuffer(5)
-        assert buf.extend_same(9, 4, OVERFLOW_CODE, 0) == 0
-        assert buf.length == 0
-
-
-# -- buffer-boundary expansion (mid-run flush discipline) -------------------
-
-
-def _collect(cache: FlowCache, packets, buffer, weights=None, coalesce=True):
-    chunks: list[list[tuple[int, int, int]]] = []
-
-    def drain(ids, values, reasons):
-        chunks.append(list(zip(ids.tolist(), values.tolist(), reasons.tolist())))
-
-    cache.process_into(packets, buffer, drain, weights=weights, coalesce=coalesce)
-    cache.dump_into(buffer, drain)
-    return chunks
+# -- buffer boundaries --------------------------------------------------------
 
 
 @pytest.mark.parametrize("buffer_capacity", [1, 2, 3, 7])
 def test_single_run_overflowing_buffer_flushes_mid_expansion(buffer_capacity):
-    """One run whose closed-form expansion emits more evictions than the
-    buffer holds: the expansion must flush mid-run, producing exactly
-    the chunk boundaries of the per-packet path."""
+    """One run emits more evictions than the buffer holds: the kernel
+    returns on every full buffer and resumes mid-run."""
     packets = np.full(101, 5, dtype=np.uint64)  # y=2 → 50 overflows + residue 1
-    baseline = _collect(
-        FlowCache(4, 2), packets, EvictionBuffer(buffer_capacity), coalesce=False
-    )
-    coalesced = _collect(
-        FlowCache(4, 2), packets, EvictionBuffer(buffer_capacity), coalesce=True
-    )
-    assert coalesced == baseline
-    assert len(coalesced) > 1  # the expansion really did flush mid-run
-    flat = [e for c in coalesced for e in c]
+    chunks = _assert_matches_scalar(_parts(packets), buffer_capacity, 4, 2)
+    assert len(chunks) > 1  # the run really did flush mid-run
+    flat = [e for c in chunks for e in c]
     assert flat == [(5, 2, OVERFLOW_CODE)] * 50 + [(5, 1, FINAL_DUMP_CODE)]
 
 
 def test_weighted_run_cycle_expansion_straddles_buffer():
     """Equal-weight run whose first eviction plus cycle tail straddle
-    several flushes — values must still be first, then cycles."""
+    several flushes."""
     packets = np.full(40, 8, dtype=np.uint64)
     weights = np.full(40, 7, dtype=np.int64)  # y=10: first at 2 hits, cycle len 2
-    base = _collect(
-        FlowCache(2, 10), packets, EvictionBuffer(3), weights=weights, coalesce=False
-    )
-    runs = _collect(
-        FlowCache(2, 10), packets, EvictionBuffer(3), weights=weights, coalesce=True
-    )
-    assert runs == base
+    _assert_matches_scalar(_parts(packets, weights), 3, 2, 10)
 
 
 def test_jumbo_fresh_insert_run_expansion():
@@ -236,15 +213,32 @@ def test_jumbo_fresh_insert_run_expansion():
     outright and every subsequent hit emits w — across buffer flushes."""
     packets = np.full(9, 3, dtype=np.uint64)
     weights = np.full(9, 25, dtype=np.int64)  # y=10, w=25: jumbo every packet
-    base = _collect(
-        FlowCache(2, 10), packets, EvictionBuffer(2), weights=weights, coalesce=False
-    )
-    runs = _collect(
-        FlowCache(2, 10), packets, EvictionBuffer(2), weights=weights, coalesce=True
-    )
-    assert runs == base
-    flat = [e for c in runs for e in c]
+    chunks = _assert_matches_scalar(_parts(packets, weights), 2, 2, 10)
+    flat = [e for c in chunks for e in c]
     assert flat == [(3, 25, OVERFLOW_CODE)] * 9  # nothing resident to dump
+
+
+@pytest.mark.parametrize("policy", ["lru", "random"])
+@pytest.mark.parametrize("buffer_capacity", [1, 2, 3])
+def test_return_between_replacement_and_jumbo_overflow(policy, buffer_capacity):
+    """Every miss on the full table emits a replacement row and then the
+    new flow's jumbo-overflow row, so tiny buffers fill between the two
+    rows of one packet: the kernel must return mid-packet and resume at
+    the pending insert."""
+    rng = np.random.default_rng(buffer_capacity)
+    packets = rng.integers(0, 9, size=400).astype(np.uint64)
+    weights = rng.integers(1, 6, size=400).astype(np.int64)
+    weights[rng.random(400) < 0.3] = 40  # jumbo: y = 12
+    chunks = _assert_matches_scalar(
+        _parts(packets, weights, cuts=(57, 58, 301)), buffer_capacity, 3, 12,
+        policy=policy, seed=4,
+    )
+    rows = [e for c in chunks for e in c]
+    replaced_then_jumbo = any(
+        a[2] == REPLACEMENT_CODE and b == (b[0], 40, OVERFLOW_CODE) and a[0] != b[0]
+        for a, b in zip(rows, rows[1:])
+    )
+    assert replaced_then_jumbo
 
 
 def test_zero_packet_stream_is_noop():
@@ -265,14 +259,35 @@ def test_zero_length_weighted_stream_is_noop():
     assert chunks == []
 
 
+def test_zero_packet_chunks_between_work():
+    packets = np.arange(30, dtype=np.uint64) % 7
+    _assert_matches_scalar(_parts(packets, cuts=(0, 0, 12, 12, 30)), 4, 3, 5)
+
+
 def test_y_equal_one_unit_run_evicts_every_packet():
     """y == 1 degenerates every unit insert/hit into an overflow."""
     packets = np.full(12, 4, dtype=np.uint64)
-    base = _collect(FlowCache(4, 1), packets, EvictionBuffer(5), coalesce=False)
-    runs = _collect(FlowCache(4, 1), packets, EvictionBuffer(5), coalesce=True)
-    assert runs == base
-    flat = [e for c in runs for e in c]
+    chunks = _assert_matches_scalar(_parts(packets), 5, 4, 1)
+    flat = [e for c in chunks for e in c]
     assert flat == [(4, 1, OVERFLOW_CODE)] * 12
+
+
+@pytest.mark.parametrize("policy", ["lru", "random"])
+def test_single_entry_table(policy):
+    """M = 1: every miss replaces the only resident flow."""
+    rng = np.random.default_rng(8)
+    packets = np.repeat(rng.integers(0, 5, size=200).astype(np.uint64), 3)
+    _assert_matches_scalar(_parts(packets, cuts=(100,)), 3, 1, 4, policy=policy, seed=1)
+
+
+def test_non_positive_weights():
+    """Zero and negative weights: counts may sit at or below zero, and
+    a victim holding no positive value leaves without a row."""
+    rng = np.random.default_rng(3)
+    packets = rng.integers(0, 12, size=600).astype(np.uint64)
+    weights = rng.integers(-4, 6, size=600).astype(np.int64)
+    for policy in ("lru", "random"):
+        _assert_matches_scalar(_parts(packets, weights), 5, 4, 6, policy=policy)
 
 
 def test_mismatched_weights_rejected():
@@ -283,77 +298,201 @@ def test_mismatched_weights_rejected():
             EvictionBuffer(4),
             lambda i, v, r: None,
             weights=np.array([1], dtype=np.int64),
-            coalesce=True,
         )
 
 
 def test_mixed_weight_run_falls_back_per_packet():
-    """A run whose weights differ has no closed form; the fallback body
+    """A run whose weights differ has no periodic structure; the kernel
     must still match the per-packet loop exactly."""
     packets = np.full(20, 6, dtype=np.uint64)
-    rng = np.random.default_rng(11)
-    weights = rng.integers(1, 12, size=20).astype(np.int64)
-    base = _collect(
-        FlowCache(3, 7), packets, EvictionBuffer(3), weights=weights, coalesce=False
-    )
-    runs = _collect(
-        FlowCache(3, 7), packets, EvictionBuffer(3), weights=weights, coalesce=True
-    )
-    assert runs == base
+    weights = np.random.default_rng(11).integers(1, 12, size=20).astype(np.int64)
+    _assert_matches_scalar(_parts(packets, weights), 3, 3, 7)
 
 
 def test_replacement_heavy_coalesced_stream_matches():
     """More flows than entries with long runs: replacement evictions at
-    run heads interleave with coalesced overflow expansions."""
+    run heads interleave with overflows inside the runs."""
     rng = np.random.default_rng(23)
     ids = np.repeat(rng.integers(0, 40, size=300).astype(np.uint64), 7)
     for policy in ("lru", "random"):
-        base = _collect(
-            FlowCache(4, 3, policy=policy, seed=2), ids, EvictionBuffer(13),
-            coalesce=False,
-        )
-        runs = _collect(
-            FlowCache(4, 3, policy=policy, seed=2), ids, EvictionBuffer(13),
-            coalesce=True,
-        )
-        assert runs == base
-        assert any(e[2] == FINAL_DUMP_CODE for c in base for e in c)
+        chunks = _assert_matches_scalar(_parts(ids), 13, 4, 3, policy=policy, seed=2)
+        assert any(e[2] == FINAL_DUMP_CODE for c in chunks for e in c)
 
 
-# -- kernel metrics ---------------------------------------------------------
+# -- switching paths, pickling, checkpoints ----------------------------------------
 
 
-def test_run_metrics_emitted():
-    registry = MetricsRegistry()
-    cache = FlowCache(8, 4, registry=registry)
-    packets = np.repeat(np.arange(5, dtype=np.uint64), 10)  # 50 packets, 5 runs
+def test_switching_between_scalar_and_batched_paths():
+    """A cache fed alternately by ``access`` and ``process_into`` moves
+    its table between representations without changing behaviour."""
+    rng = np.random.default_rng(5)
+    packets = rng.integers(0, 30, size=900).astype(np.uint64)
+    for policy in ("lru", "random"):
+        oracle = FlowCache(8, 5, policy=policy, seed=9)
+        expected: list[tuple[int, int, int]] = []
+        oracle.process(packets, lambda f, v, r: expected.append((f, v, r.code)))
+        mixed = FlowCache(8, 5, policy=policy, seed=9)
+        got: list[tuple[int, int, int]] = []
+        buffer = EvictionBuffer(6)
+
+        def drain(ids, values, reasons):
+            got.extend(zip(ids.tolist(), values.tolist(), reasons.tolist()))
+
+        for i, part in enumerate(np.array_split(packets, 9)):
+            if i % 2:
+                for fid in part.tolist():
+                    mixed.access(fid, lambda f, v, r: got.append((f, v, r.code)))
+            else:
+                mixed.process_into(part, buffer, drain)
+        assert got == expected
+        assert mixed.stats == oracle.stats
+        assert mixed.export_state()["policy"] == oracle.export_state()["policy"]
+
+
+def test_pickled_cache_resumes_identically():
+    rng = np.random.default_rng(6)
+    packets = rng.integers(0, 50, size=2000).astype(np.uint64)
+    for policy in ("lru", "random"):
+        straight = FlowCache(16, 6, policy=policy, seed=2)
+        copied = FlowCache(16, 6, policy=policy, seed=2)
+        buffer = EvictionBuffer(64)
+        drop = lambda i, v, r: None  # noqa: E731
+        straight.process_into(packets, buffer, drop)
+        copied.process_into(packets[:1000], buffer, drop)
+        copied = pickle.loads(pickle.dumps(copied))
+        copied.process_into(packets[1000:], buffer, drop)
+        assert copied.stats == straight.stats
+        assert copied.export_state()["policy"] == straight.export_state()["policy"]
+        assert copied.export_state()["ids"].tolist() == straight.export_state()["ids"].tolist()
+
+
+def test_inspection_in_kernel_representation():
+    cache = FlowCache(4, 10)
     cache.process_into(
-        packets, EvictionBuffer(16), lambda i, v, r: None, coalesce=True
+        np.array([7, 7, 8, 9, 7], dtype=np.uint64), EvictionBuffer(4), lambda i, v, r: None
     )
-    snap = registry.snapshot()
-    assert snap["counters"]["cache.run_chunks"] == 1
-    assert snap["counters"]["cache.run_packets"] == 50
-    assert snap["counters"]["cache.runs"] == 5
-    assert snap["gauges"]["cache.coalescing_ratio"] == pytest.approx(10.0)
-
-
-def test_run_metrics_silent_when_disabled():
-    cache = FlowCache(8, 4)  # null registry
-    packets = np.repeat(np.arange(5, dtype=np.uint64), 10)
-    cache.process_into(
-        packets, EvictionBuffer(16), lambda i, v, r: None, coalesce=True
+    assert len(cache) == 3
+    assert 7 in cache and 10 not in cache
+    assert cache.resident_count(7) == 3
+    assert cache.get(10, -1) == -1
+    with pytest.raises(KeyError):
+        cache.resident_count(10)
+    assert list(cache.iter_entries()) == [(7, 3), (8, 1), (9, 1)]
+    np.testing.assert_array_equal(
+        cache.resident_values(np.array([9, 10, 7], dtype=np.uint64)), [1, 0, 3]
     )
-    assert not any(cache._metrics.snapshot().values())
+    assert cache.wipe() == (3, 5)
+    assert len(cache) == 0
 
 
-def test_auto_selection_routes_by_locality():
-    """engine='batched' default: bursty chunks coalesce, shuffled chunks
-    keep the per-packet loop — observable via the run-chunk counter."""
-    registry = MetricsRegistry()
-    cache = FlowCache(8, 4, registry=registry)
-    bursty = np.repeat(np.arange(6, dtype=np.uint64), 8)
-    shuffled = np.arange(48, dtype=np.uint64) % 7
-    cache.process_into(bursty, EvictionBuffer(16), lambda i, v, r: None)
-    assert registry.snapshot()["counters"]["cache.run_chunks"] == 1
-    cache.process_into(shuffled, EvictionBuffer(16), lambda i, v, r: None)
-    assert registry.snapshot()["counters"]["cache.run_chunks"] == 1  # unchanged
+@st.composite
+def _sweeps(draw):
+    policy = draw(st.sampled_from(["lru", "random"]))
+    weights_kind = draw(st.sampled_from(["unit", "mixed", "jumbo", "non_positive"]))
+    burst = draw(st.sampled_from([1, 16]))
+    num_flows = draw(st.integers(min_value=1, max_value=40))
+    num_packets = draw(st.integers(min_value=0, max_value=600))
+    cache_entries = draw(st.integers(min_value=1, max_value=16))
+    entry_capacity = draw(st.integers(min_value=1, max_value=10))
+    buffer_capacity = draw(st.integers(min_value=1, max_value=40))
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=num_packets), max_size=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+    packets = rng.integers(0, num_flows, size=num_packets).astype(np.uint64)
+    packets = np.repeat(packets, burst)[:num_packets]
+    y = entry_capacity
+    weights = {
+        "unit": None,
+        "mixed": rng.integers(1, 2 * y + 1, size=num_packets),
+        "jumbo": rng.integers(y, 4 * y + 1, size=num_packets),
+        "non_positive": rng.integers(-y, y + 1, size=num_packets),
+    }[weights_kind]
+    if weights is not None:
+        weights = weights.astype(np.int64)
+    restore_at = draw(st.integers(min_value=0, max_value=len(cuts) + 1))
+    return (
+        _parts(packets, weights, cuts), policy, cache_entries, entry_capacity,
+        buffer_capacity, restore_at,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweeps())
+def test_kernel_matches_scalar_with_restore_at_chunk_boundary(sweep):
+    """Policy × weights × arrival × chunking, with the kernel's cache
+    checkpointed and restored into a fresh cache at a random chunk
+    boundary: rows, chunk boundaries, stats, table, policy order and
+    generator state all match the scalar oracle."""
+    parts, policy, m, y, capacity, restore_at = sweep
+    calls, s_stats, s_state = _scalar(parts, m, y, policy=policy, seed=7)
+    cache = FlowCache(m, y, policy=policy, seed=7)
+    buffer = EvictionBuffer(capacity)
+    chunks: list[list[tuple[int, int, int]]] = []
+
+    def drain(ids, values, reasons):
+        chunks.append(list(zip(ids.tolist(), values.tolist(), reasons.tolist())))
+
+    for i, (packets, weights) in enumerate(parts):
+        if i == restore_at:
+            restored = FlowCache(m, y, policy=policy, seed=123)
+            restored.restore_state(cache.export_state())
+            restored.stats = cache.stats
+            cache = restored
+        cache.process_into(packets, buffer, drain, weights=weights)
+    k_state = cache.export_state()
+    cache.dump_into(buffer, drain)
+    assert chunks == _chunked(calls, capacity)
+    assert cache.stats == s_stats
+    assert k_state["ids"].tolist() == s_state["ids"].tolist()
+    assert k_state["counts"].tolist() == s_state["counts"].tolist()
+    assert k_state["policy"] == s_state["policy"]
+
+
+# -- the numpy property random replacement relies on ---------------------------------
+
+
+@pytest.mark.parametrize("bound", [1, 7, 5333, 10667, 2**31 + 5])
+def test_batched_integers_equal_scalar_draws(bound):
+    """The kernel draws random victims as one ``integers(M, size=c)``
+    block and then advances the policy's generator by the same call;
+    the scalar path calls ``integers(M)`` once per victim. Both must
+    give the same values and leave the same generator state."""
+    for seed, count in ((0, 1), (1, 5), (2, 1000), (3, 4097)):
+        block_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        block = block_rng.integers(bound, size=count)
+        scalars = [int(scalar_rng.integers(bound)) for _ in range(count)]
+        assert block.tolist() == scalars
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+# -- build failures are loud ------------------------------------------------------
+
+
+def test_build_failure_shows_compiler_message(tmp_path, monkeypatch):
+    broken = tmp_path / "broken.c"
+    broken.write_text("int fc_run(void) { return missing_symbol; }\n")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernel, "SOURCE", broken)
+    with pytest.raises(KernelBuildError, match="missing_symbol"):
+        kernel.build()
+    assert not list((tmp_path / "cache" / "repro").glob("*.so"))
+
+
+def test_missing_compiler_is_loud(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernel, "COMPILER", "no-such-compiler-xyz")
+    with pytest.raises(KernelBuildError, match="no-such-compiler-xyz"):
+        kernel.build()
+
+
+def test_batched_path_without_kernel_raises(monkeypatch):
+    monkeypatch.setattr(kernel, "_LIB", None)
+    monkeypatch.setattr(kernel, "_BUILD_ERROR", "cc: fatal error: no input files")
+    cache = FlowCache(4, 8)
+    with pytest.raises(KernelBuildError, match="no input files"):
+        cache.process_into(
+            np.array([1], dtype=np.uint64), EvictionBuffer(4), lambda i, v, r: None
+        )
+    # The scalar reference path needs no kernel.
+    cache.process(np.array([1, 1], dtype=np.uint64), lambda f, v, r: None)
+    assert cache.resident_count(1) == 2

@@ -1,6 +1,6 @@
-"""Scalar vs batched vs runs engines: bit-identical by construction.
+"""Scalar vs batched engines: bit-identical by construction.
 
-The batched eviction pipeline and the run-coalescing kernel must
+The batched eviction pipeline and its compiled cache kernel must
 reproduce the scalar reference path *exactly* under a fixed seed —
 same eviction sequence, same counter arrays, same cache statistics,
 same generator state, same checkpoint digest — so that engine choice
@@ -41,7 +41,7 @@ def _base_config(**overrides) -> CaesarConfig:
     return CaesarConfig(**defaults)
 
 
-ENGINES = ("scalar", "batched", "runs")
+ENGINES = ("scalar", "batched")
 
 
 def _run_pair(
@@ -49,8 +49,8 @@ def _run_pair(
     packets: np.ndarray,
     lengths: np.ndarray | None = None,
     buffer_capacity: int = 257,
-) -> tuple[Caesar, Caesar, Caesar]:
-    """Run the same workload through all three engines (small odd buffer
+) -> tuple[Caesar, Caesar]:
+    """Run the same workload through both engines (small odd buffer
     capacity so chunks straddle process()/finalize() boundaries)."""
     instances = tuple(
         Caesar(
@@ -88,13 +88,12 @@ def _assert_identical(scalar: Caesar, *others: Caesar) -> None:
 @pytest.mark.parametrize("remainder", ["random", "even"])
 def test_caesar_engines_bit_identical(tiny_trace, replacement, remainder):
     config = _base_config(replacement=replacement, remainder=remainder)
-    scalar, batched, runs = _run_pair(config, tiny_trace.packets)
-    _assert_identical(scalar, batched, runs)
+    scalar, batched = _run_pair(config, tiny_trace.packets)
+    _assert_identical(scalar, batched)
     ids = tiny_trace.flows.ids
     for method in ("csm", "mlm", "median"):
         expected = scalar.estimate(ids, method)
         np.testing.assert_array_equal(expected, batched.estimate(ids, method))
-        np.testing.assert_array_equal(expected, runs.estimate(ids, method))
 
 
 def test_caesar_engines_identical_on_volume_with_jumbo_weights(tiny_trace):
@@ -153,19 +152,16 @@ def _collect_sequences(packets, weights, policy, seed, buffer_capacity):
     scalar_cache.process(packets, sink, weights=weights)
     scalar_cache.dump(sink)
 
-    batched = []
-    for coalesce in (False, True):
-        cache = FlowCache(num_entries=32, entry_capacity=6, policy=policy, seed=seed)
-        buffer = EvictionBuffer(buffer_capacity)
-        events: list[tuple[int, int, int]] = []
+    cache = FlowCache(num_entries=32, entry_capacity=6, policy=policy, seed=seed)
+    buffer = EvictionBuffer(buffer_capacity)
+    events: list[tuple[int, int, int]] = []
 
-        def drain(ids, values, reasons, events=events):
-            events.extend(zip(ids.tolist(), values.tolist(), reasons.tolist()))
+    def drain(ids, values, reasons):
+        events.extend(zip(ids.tolist(), values.tolist(), reasons.tolist()))
 
-        cache.process_into(packets, buffer, drain, weights=weights, coalesce=coalesce)
-        cache.dump_into(buffer, drain)
-        batched.append((events, cache.stats))
-    return scalar_events, scalar_cache.stats, batched
+    cache.process_into(packets, buffer, drain, weights=weights)
+    cache.dump_into(buffer, drain)
+    return scalar_events, scalar_cache.stats, events, cache.stats
 
 
 @pytest.mark.parametrize("policy", ["lru", "random"])
@@ -176,12 +172,11 @@ def test_cache_eviction_sequences_identical(policy, weighted):
     weights = (
         rng.integers(1, 9, size=len(packets)).astype(np.int64) if weighted else None
     )
-    s_events, s_stats, batched = _collect_sequences(
+    s_events, s_stats, events, stats = _collect_sequences(
         packets, weights, policy, seed=5, buffer_capacity=33
     )
-    for events, stats in batched:  # per-packet, then run-coalesced
-        assert s_events == events
-        assert s_stats == stats
+    assert s_events == events
+    assert s_stats == stats
 
 
 # -- CASE and RCS ---------------------------------------------------------------
@@ -252,9 +247,9 @@ def _workloads(draw):
     cache_entries = draw(st.integers(min_value=1, max_value=24))
     weighted = draw(st.booleans())
     buffer_capacity = draw(st.integers(min_value=1, max_value=64))
-    # burst_length > 1 repeats each draw, creating the same-flow runs
-    # the coalescing kernel exists for (run-weight runs stay uniform on
-    # a per-draw basis, so equal-weight *and* mixed runs both occur).
+    # burst_length > 1 repeats each draw, creating same-flow runs
+    # (run weights stay uniform on a per-draw basis, so equal-weight
+    # *and* mixed runs both occur).
     burst_length = draw(st.sampled_from([1, 1, 2, 5, 16]))
     rng = np.random.default_rng(trace_seed)
     packets = rng.integers(0, num_flows, size=num_packets).astype(np.uint64)
@@ -262,7 +257,7 @@ def _workloads(draw):
     if weighted:
         lengths = rng.integers(1, 3 * entry_capacity, size=num_packets).astype(np.int64)
         if draw(st.booleans()):
-            # Per-run-uniform weights: the closed-form cycle path.
+            # Per-run-uniform weights: periodic overflows within a run.
             lengths = np.repeat(lengths[:: max(burst_length, 1)], burst_length)[
                 :num_packets
             ]
@@ -333,7 +328,7 @@ def test_cache_stats_identical_across_record_paths(workload):
     up to chunk timing (flow, value, reason; trace ``packet_index`` is
     exact for scalar and chunk-granular for batched, so it is excluded)."""
     packets, weights, policy, entry_capacity, cache_entries, buffer_capacity = workload
-    traces = [EvictionTrace(capacity=4 * len(packets) + 8) for _ in range(3)]
+    traces = [EvictionTrace(capacity=4 * len(packets) + 8) for _ in range(2)]
 
     scalar_cache = FlowCache(
         cache_entries, entry_capacity, policy=policy, seed=3, trace=traces[0]
@@ -342,18 +337,15 @@ def test_cache_stats_identical_across_record_paths(workload):
     scalar_cache.dump(lambda fid, v, r: None)
     s_events = [(e.flow_id, e.value, e.reason) for e in traces[0].events()]
 
-    for coalesce, trace in zip((False, True), traces[1:]):
-        cache = FlowCache(
-            cache_entries, entry_capacity, policy=policy, seed=3, trace=trace
-        )
-        buffer = EvictionBuffer(buffer_capacity)
-        cache.process_into(
-            packets, buffer, lambda i, v, r: None, weights=weights, coalesce=coalesce
-        )
-        cache.dump_into(buffer, lambda i, v, r: None)
-        assert scalar_cache.stats == cache.stats
-        events = [(e.flow_id, e.value, e.reason) for e in trace.events()]
-        assert s_events == events
+    cache = FlowCache(
+        cache_entries, entry_capacity, policy=policy, seed=3, trace=traces[1]
+    )
+    buffer = EvictionBuffer(buffer_capacity)
+    cache.process_into(packets, buffer, lambda i, v, r: None, weights=weights)
+    cache.dump_into(buffer, lambda i, v, r: None)
+    assert scalar_cache.stats == cache.stats
+    events = [(e.flow_id, e.value, e.reason) for e in traces[1].events()]
+    assert s_events == events
     assert scalar_cache.stats.evicted_packets + scalar_cache.stats.dumped_packets == (
         int(weights.sum()) if weights is not None else len(packets)
     )

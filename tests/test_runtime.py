@@ -183,7 +183,7 @@ class TestIngestWal:
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-@pytest.mark.parametrize("engine", ["batched", "runs", "scalar"])
+@pytest.mark.parametrize("engine", ["batched", "scalar"])
 class TestBitIdentity:
     def test_runtime_matches_offline(self, tmp_path, stream, flows, engine, transport):
         config = make_config(engine)

@@ -104,7 +104,7 @@ def test_sharded_caesar_engine_flows_through_config(tiny_trace):
     """The sharded layer consumes the protocol only, so each shard runs
     the engine its config selects — and all engines agree."""
     results = {}
-    for engine in ("scalar", "batched", "runs"):
+    for engine in ("scalar", "batched"):
         config = CaesarConfig(
             cache_entries=64, entry_capacity=8, bank_size=128, seed=5, engine=engine
         )
@@ -114,7 +114,6 @@ def test_sharded_caesar_engine_flows_through_config(tiny_trace):
         sharded.finalize()
         results[engine] = sharded.estimate(tiny_trace.flows.ids)
     np.testing.assert_array_equal(results["scalar"], results["batched"])
-    np.testing.assert_array_equal(results["scalar"], results["runs"])
 
 
 def test_measure_api_engine_selection(tiny_trace):
@@ -124,15 +123,11 @@ def test_measure_api_engine_selection(tiny_trace):
     scalar = repro.measure(
         tiny_trace.packets, sram_kb=1.0, cache_kb=0.5, engine="scalar"
     )
-    runs = repro.measure(tiny_trace.packets, sram_kb=1.0, cache_kb=0.5, engine="runs")
     assert batched.caesar.engine == "batched"
     assert scalar.caesar.engine == "scalar"
-    assert runs.caesar.engine == "runs"
     ids = tiny_trace.flows.ids
     np.testing.assert_array_equal(batched.estimate(ids), scalar.estimate(ids))
-    np.testing.assert_array_equal(batched.estimate(ids), runs.estimate(ids))
     assert batched.top_flows(5) == scalar.top_flows(5)
-    assert batched.top_flows(5) == runs.top_flows(5)
 
 
 def test_cli_engine_flag(tiny_trace, tmp_path, capsys):
@@ -141,7 +136,7 @@ def test_cli_engine_flag(tiny_trace, tmp_path, capsys):
     trace_path = str(tmp_path / "trace.npz")
     tiny_trace.save(trace_path)
     outputs = {}
-    for engine in ("scalar", "batched", "runs"):
+    for engine in ("scalar", "batched"):
         assert (
             main(
                 [
@@ -161,5 +156,5 @@ def test_cli_engine_flag(tiny_trace, tmp_path, capsys):
             == 0
         )
         outputs[engine] = capsys.readouterr().out
-    assert outputs["scalar"] == outputs["batched"] == outputs["runs"]
+    assert outputs["scalar"] == outputs["batched"]
     assert "top 3 flows" in outputs["batched"]
