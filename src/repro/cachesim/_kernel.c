@@ -4,8 +4,8 @@
  *
  * Per packet: a hit adds the weight and overflows at the entry
  * capacity y (the flow stays resident); a miss on a full table evicts
- * the LRU or a uniformly drawn victim, then the new flow takes the
- * victim's slot; a fresh insert of weight >= y overflows outright.
+ * the LRU or a uniformly drawn victim before the new flow is inserted;
+ * a fresh insert of weight >= y overflows outright.
  * Every eviction row is appended to the caller's EvictionBuffer
  * columns. When a row fills the buffer the kernel returns 1 so Python
  * can drain it, and the next call resumes exactly where this one
@@ -27,8 +27,7 @@ typedef struct {
     int64_t random;                 /* 0: LRU, 1: random replacement */
     int64_t index_shift;            /* 64 - log2(index size) */
     int64_t index_mask;             /* index size - 1 */
-    int64_t size;                   /* resident entries, in slots [0, size) */
-    int64_t free_slot;              /* slot a pending insert reuses, or NIL */
+    int64_t size;                   /* resident entries, always in slots [0, size) */
     int64_t order_head, order_tail; /* insertion order, oldest first */
     int64_t lru_head, lru_tail;     /* recency order, least recent first */
     uint64_t *ids;                  /* [M] flow id per slot */
@@ -99,7 +98,8 @@ static inline void index_del(Table *t, uint64_t id)
     t->index[hole] = 0;
 }
 
-static inline void unlink_slot(int32_t *prev, int32_t *next, int64_t *head, int64_t *tail, int64_t s)
+static inline void unlink_slot(int32_t *prev, int32_t *next, int64_t *head, int64_t *tail,
+                               int64_t s)
 {
     int32_t p = prev[s], n = next[s];
     if (p == NIL)
@@ -112,7 +112,8 @@ static inline void unlink_slot(int32_t *prev, int32_t *next, int64_t *head, int6
         prev[n] = p;
 }
 
-static inline void append_slot(int32_t *prev, int32_t *next, int64_t *head, int64_t *tail, int64_t s)
+static inline void append_slot(int32_t *prev, int32_t *next, int64_t *head, int64_t *tail,
+                               int64_t s)
 {
     prev[s] = (int32_t)*tail;
     next[s] = NIL;
@@ -121,6 +122,23 @@ static inline void append_slot(int32_t *prev, int32_t *next, int64_t *head, int6
     else
         next[*tail] = (int32_t)s;
     *tail = s;
+}
+
+/* Point a list's neighbours of slot `from` at slot `to` instead. */
+static inline void relink_slot(int32_t *prev, int32_t *next, int64_t *head, int64_t *tail,
+                               int64_t from, int64_t to)
+{
+    int32_t p = prev[from], n = next[from];
+    prev[to] = p;
+    next[to] = n;
+    if (p == NIL)
+        *head = to;
+    else
+        next[p] = (int32_t)to;
+    if (n == NIL)
+        *tail = to;
+    else
+        prev[n] = (int32_t)to;
 }
 
 static inline void evict_slot(Table *t, int64_t s)
@@ -135,14 +153,30 @@ static inline void evict_slot(Table *t, int64_t s)
     } else {
         unlink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
     }
-    t->size--;
-    t->free_slot = s;
+    /* Move the entry in the last slot into the hole, so the resident
+     * entries stay in slots [0, size) even while an insert is pending. */
+    int64_t last = --t->size;
+    if (s == last)
+        return;
+    const uint64_t id = t->ids[last];
+    t->ids[s] = id;
+    t->counts[s] = t->counts[last];
+    int64_t h = home(t, id);
+    while (t->index[h] != last + 1)
+        h = (h + 1) & t->index_mask;
+    t->index[h] = (int32_t)(s + 1);
+    relink_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, last, s);
+    if (t->random) {
+        t->where[s] = t->where[last];
+        t->slots[t->where[s]] = (int32_t)s;
+    } else {
+        relink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, last, s);
+    }
 }
 
 static inline int64_t insert(Table *t, uint64_t id, int64_t count)
 {
-    int64_t s = t->free_slot != NIL ? t->free_slot : t->size;
-    t->free_slot = NIL;
+    int64_t s = t->size;
     t->ids[s] = id;
     t->counts[s] = count;
     index_put(t, id, s);
@@ -171,7 +205,6 @@ static inline int emit(Chunk *c, uint64_t id, int64_t value, uint8_t reason)
 void fc_clear(Table *t)
 {
     t->size = 0;
-    t->free_slot = NIL;
     t->order_head = t->order_tail = NIL;
     t->lru_head = t->lru_tail = NIL;
     memset(t->index, 0, (size_t)(t->index_mask + 1) * sizeof(int32_t));
@@ -186,12 +219,13 @@ int64_t fc_run(Table *t, Chunk *c)
     const int64_t y = t->capacity;
     const uint64_t *packets = c->packets;
     const int64_t *weights = c->weights;
-    int64_t pos = c->pos, hits = c->hits, status = 0;
-    for (; pos < c->n; pos++) {
+    const int64_t n = c->n;
+    int64_t pos = c->pos, hits = c->hits, pending = c->pending, status = 0;
+    for (; pos < n; pos++) {
         const uint64_t id = packets[pos];
         const int64_t w = weights ? weights[pos] : 1;
-        if (c->pending) {
-            c->pending = 0;
+        if (pending) {
+            pending = 0;
         } else {
             int64_t s = find(t, id);
             if (s != NIL) {
@@ -228,7 +262,7 @@ int64_t fc_run(Table *t, Chunk *c)
                 const int64_t value = t->counts[v];
                 evict_slot(t, v);
                 if (value > 0 && emit(c, victim, value, REPLACEMENT_CODE)) {
-                    c->pending = 1;
+                    pending = 1;
                     status = 1;
                     break;
                 }
@@ -246,6 +280,7 @@ int64_t fc_run(Table *t, Chunk *c)
     }
     c->pos = pos;
     c->hits = hits;
+    c->pending = pending;
     return status;
 }
 

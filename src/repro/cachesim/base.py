@@ -164,8 +164,9 @@ class CachePolicy(Protocol):
 
     The cache calls ``insert`` when a flow is allocated an entry,
     ``touch`` on every hit, ``remove`` when an entry is freed, ``clear``
-    when the table empties, and ``victim`` to pick the entry to replace. Implementations must keep
-    their bookkeeping consistent with exactly that call sequence.
+    when the table empties, and ``victim`` to pick the entry to replace.
+    Implementations must keep their bookkeeping consistent with exactly
+    that call sequence.
     """
 
     def insert(self, flow_id: int) -> None: ...

@@ -65,7 +65,7 @@ class _Table(ctypes.Structure):
 
     _fields_ = [
         (name, _I64)
-        for name in "num_entries capacity random index_shift index_mask size free_slot"
+        for name in "num_entries capacity random index_shift index_mask size"
         " order_head order_tail lru_head lru_tail".split()
     ] + [
         (name, _PTR)
@@ -208,7 +208,6 @@ class ResidentTable:
             index_shift=64 - bits,
             index_mask=(1 << bits) - 1,
             size=0,
-            free_slot=_NIL,
             order_head=_NIL,
             order_tail=_NIL,
             lru_head=_NIL,

@@ -319,6 +319,30 @@ def test_replacement_heavy_coalesced_stream_matches():
         assert any(e[2] == FINAL_DUMP_CODE for c in chunks for e in c)
 
 
+@pytest.mark.parametrize("policy", ["lru", "random"])
+def test_wipe_from_the_drain_mid_chunk(policy):
+    """Fault injection wipes the table from inside a drain while the
+    kernel is stopped mid-chunk (at times between a replacement row and
+    the new flow's insert): the kernel resumes on the emptied table and
+    every packet's mass is drained or wiped exactly once."""
+    packets = np.random.default_rng(12).integers(0, 40, size=3000).astype(np.uint64)
+    cache = FlowCache(8, 5, policy=policy, seed=1)
+    drained: list[int] = []
+    wiped: list[int] = []
+
+    def drain(ids, values, reasons):
+        drained.append(int(values.sum()))
+        if len(drained) % 50 == 0:
+            wiped.append(cache.wipe()[1])
+
+    buffer = EvictionBuffer(2)
+    cache.process_into(packets, buffer, drain)
+    assert len(wiped) > 10 and len(cache) <= 8
+    cache.dump_into(buffer, drain)
+    assert sum(drained) + sum(wiped) == len(packets)
+    assert len(cache) == 0
+
+
 # -- switching paths, pickling, checkpoints ----------------------------------------
 
 
