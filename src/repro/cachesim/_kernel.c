@@ -8,10 +8,11 @@
  * a fresh insert of weight >= y overflows outright.
  * Every eviction row is appended to the caller's EvictionBuffer
  * columns. When a row fills the buffer the kernel returns 1 so Python
- * can drain it, and the next call resumes exactly where this one
- * stopped -- including between a victim's row and the new flow's
- * insert. The Python side (repro/cachesim/kernel.py) documents the
- * state layout; the scalar FlowCache.access path is the reference.
+ * can drain it, and the next call resumes where this one stopped. A
+ * return between a victim's row and the new flow's insert leaves that
+ * packet unprocessed: run again, it misses and finds the freed room.
+ * The Python side (repro/cachesim/kernel.py) documents the state
+ * layout; the scalar FlowCache.access path is the reference.
  */
 #include <stdint.h>
 #include <string.h>
@@ -30,11 +31,11 @@ typedef struct {
     int64_t size;                   /* resident entries, always in slots [0, size) */
     int64_t order_head, order_tail; /* insertion order, oldest first */
     int64_t lru_head, lru_tail;     /* recency order, least recent first */
-    uint64_t *ids;                  /* [M] flow id per slot */
+    uint64_t *ids;                  /* [M] flow id per slot; for random replacement the
+                                       slots are RandomPolicy's position array */
     int64_t *counts;                /* [M] cached count per slot */
     int32_t *order_prev, *order_next; /* [M] insertion-order links */
     int32_t *lru_prev, *lru_next;   /* [M] recency links (LRU only) */
-    int32_t *slots, *where;         /* [M] position -> slot, slot -> position (random only) */
     int32_t *index;                 /* [index size] slot + 1, 0 = empty */
 } Table;
 
@@ -43,9 +44,8 @@ typedef struct {
     const int64_t *weights;         /* NULL: every packet weighs 1 */
     int64_t n;
     int64_t pos;                    /* next packet */
-    int64_t pending;                /* 1: packet pos evicted its victim, insert it next */
     int64_t hits;
-    const int64_t *draws;           /* random: victim positions, in draw order */
+    const int64_t *draws;           /* random: victim slots, in draw order */
     int64_t draws_len, draws_used;
     uint64_t *out_ids;
     int64_t *out_values;
@@ -145,16 +145,10 @@ static inline void evict_slot(Table *t, int64_t s)
 {
     index_del(t, t->ids[s]);
     unlink_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, s);
-    if (t->random) {
-        /* Swap the last position into the hole, as RandomPolicy.remove does. */
-        int32_t last = t->slots[t->size - 1];
-        t->slots[t->where[s]] = last;
-        t->where[last] = t->where[s];
-    } else {
+    if (!t->random)
         unlink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
-    }
-    /* Move the entry in the last slot into the hole, so the resident
-     * entries stay in slots [0, size) even while an insert is pending. */
+    /* Move the entry in the last slot into the hole (RandomPolicy.remove's
+     * swap-with-last), so the resident entries stay in slots [0, size). */
     int64_t last = --t->size;
     if (s == last)
         return;
@@ -166,12 +160,8 @@ static inline void evict_slot(Table *t, int64_t s)
         h = (h + 1) & t->index_mask;
     t->index[h] = (int32_t)(s + 1);
     relink_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, last, s);
-    if (t->random) {
-        t->where[s] = t->where[last];
-        t->slots[t->where[s]] = (int32_t)s;
-    } else {
+    if (!t->random)
         relink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, last, s);
-    }
 }
 
 static inline int64_t insert(Table *t, uint64_t id, int64_t count)
@@ -181,12 +171,8 @@ static inline int64_t insert(Table *t, uint64_t id, int64_t count)
     t->counts[s] = count;
     index_put(t, id, s);
     append_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, s);
-    if (t->random) {
-        t->slots[t->size] = (int32_t)s;
-        t->where[s] = (int32_t)t->size;
-    } else {
+    if (!t->random)
         append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
-    }
     t->size++;
     return s;
 }
@@ -220,55 +206,52 @@ int64_t fc_run(Table *t, Chunk *c)
     const uint64_t *packets = c->packets;
     const int64_t *weights = c->weights;
     const int64_t n = c->n;
-    int64_t pos = c->pos, hits = c->hits, pending = c->pending, status = 0;
+    int64_t pos = c->pos, hits = c->hits, status = 0;
     for (; pos < n; pos++) {
         const uint64_t id = packets[pos];
         const int64_t w = weights ? weights[pos] : 1;
-        if (pending) {
-            pending = 0;
-        } else {
-            int64_t s = find(t, id);
-            if (s != NIL) {
-                hits++;
-                if (!t->random && s != t->lru_tail) {
-                    unlink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
-                    append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
-                }
-                int64_t cur = t->counts[s] + w;
-                if (cur >= y) {
-                    t->counts[s] = 0;
-                    if (emit(c, id, cur, OVERFLOW_CODE)) {
-                        pos++;
-                        status = 1;
-                        break;
-                    }
-                } else {
-                    t->counts[s] = cur;
-                }
-                continue;
+        int64_t s = find(t, id);
+        if (s != NIL) {
+            hits++;
+            if (!t->random && s != t->lru_tail) {
+                unlink_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
+                append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
             }
-            if (t->size >= t->num_entries) {
-                int64_t v;
-                if (t->random) {
-                    if (c->draws_used >= c->draws_len) {
-                        status = -1;
-                        break;
-                    }
-                    v = t->slots[c->draws[c->draws_used++]];
-                } else {
-                    v = t->lru_head;
-                }
-                const uint64_t victim = t->ids[v];
-                const int64_t value = t->counts[v];
-                evict_slot(t, v);
-                if (value > 0 && emit(c, victim, value, REPLACEMENT_CODE)) {
-                    pending = 1;
+            int64_t cur = t->counts[s] + w;
+            if (cur >= y) {
+                t->counts[s] = 0;
+                if (emit(c, id, cur, OVERFLOW_CODE)) {
+                    pos++;
                     status = 1;
                     break;
                 }
+            } else {
+                t->counts[s] = cur;
+            }
+            continue;
+        }
+        if (t->size >= t->num_entries) {
+            int64_t v;
+            if (t->random) {
+                if (c->draws_used >= c->draws_len) {
+                    status = -1;
+                    break;
+                }
+                v = c->draws[c->draws_used++];
+            } else {
+                v = t->lru_head;
+            }
+            const uint64_t victim = t->ids[v];
+            const int64_t value = t->counts[v];
+            evict_slot(t, v);
+            /* A full buffer stops before the insert; rerun, this packet
+             * misses again and takes the freed room. */
+            if (value > 0 && emit(c, victim, value, REPLACEMENT_CODE)) {
+                status = 1;
+                break;
             }
         }
-        int64_t s = insert(t, id, w);
+        s = insert(t, id, w);
         if (w >= y) {
             t->counts[s] = 0;
             if (emit(c, id, w, OVERFLOW_CODE)) {
@@ -280,41 +263,45 @@ int64_t fc_run(Table *t, Chunk *c)
     }
     c->pos = pos;
     c->hits = hits;
-    c->pending = pending;
     return status;
 }
 
 /* Rebuild the table from n entries in insertion order plus the policy
- * order (LRU: least recent first; random: slot array). Returns -1 if
- * the ids repeat or the policy order is not a permutation of them. */
+ * order (LRU: least recent first; random: RandomPolicy's position
+ * array, which becomes the slot order). Returns -1 if the ids repeat
+ * or the policy order is not a permutation of them. */
 int64_t fc_load(Table *t, const uint64_t *ids, const int64_t *counts, int64_t n,
                 const uint64_t *policy_order)
 {
+    const int32_t unlinked = -2;
     fc_clear(t);
     if (n > t->num_entries)
         return -1;
+    const uint64_t *by_slot = t->random ? policy_order : ids;
     for (int64_t i = 0; i < n; i++) {
-        if (find(t, ids[i]) != NIL)
+        if (find(t, by_slot[i]) != NIL)
             return -1;
-        t->ids[i] = ids[i];
-        t->counts[i] = counts[i];
-        index_put(t, ids[i], i);
-        append_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, i);
+        t->ids[i] = by_slot[i];
+        index_put(t, by_slot[i], i);
+        t->order_next[i] = unlinked;
+        if (!t->random)
+            t->lru_next[i] = unlinked;
     }
     t->size = n;
-    int32_t *seen = t->random ? t->where : t->lru_next;
-    for (int64_t i = 0; i < n; i++)
-        seen[i] = -2;
-    for (int64_t p = 0; p < n; p++) {
-        int64_t s = find(t, policy_order[p]);
-        if (s == NIL || seen[s] != -2)
+    for (int64_t i = 0; i < n; i++) {
+        int64_t s = find(t, ids[i]);
+        if (s == NIL || t->order_next[s] != unlinked)
             return -1;
-        if (t->random) {
-            t->slots[p] = (int32_t)s;
-            t->where[s] = (int32_t)p;
-        } else {
-            append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
-        }
+        t->counts[s] = counts[i];
+        append_slot(t->order_prev, t->order_next, &t->order_head, &t->order_tail, s);
+    }
+    if (t->random)
+        return 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t s = find(t, policy_order[i]);
+        if (s == NIL || t->lru_next[s] != unlinked)
+            return -1;
+        append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
     }
     return 0;
 }
@@ -328,8 +315,7 @@ void fc_export(const Table *t, uint64_t *ids, int64_t *counts, uint64_t *policy_
         counts[i] = t->counts[s];
     }
     if (t->random) {
-        for (int64_t p = 0; p < t->size; p++)
-            policy_order[p] = t->ids[t->slots[p]];
+        memcpy(policy_order, t->ids, (size_t)t->size * sizeof(uint64_t));
     } else {
         i = 0;
         for (int64_t s = t->lru_head; s != NIL; s = t->lru_next[s], i++)

@@ -3,14 +3,16 @@
 The batched cache loop (:meth:`~repro.cachesim.cache.FlowCache.process_into`)
 runs in C (``_kernel.c``) over a :class:`ResidentTable`: numpy arrays
 holding flow ids and counts per slot (resident entries fill slots
-``[0, size)``), insertion-order links (the scalar path's dict order,
-which fixes final-dump and checkpoint order), LRU links or random
-replacement's slot array, and an open-addressing index.
+``[0, size)``; for random replacement the slots are
+:class:`RandomPolicy`'s position array), insertion-order links (the
+scalar path's dict order, which fixes final-dump and checkpoint order),
+LRU recency links, and an open-addressing index.
 
 The kernel returns whenever an eviction row fills the
 :class:`~repro.cachesim.buffer.EvictionBuffer`, so the drain runs in
 Python between calls; a return can fall between a victim's row and the
-new flow's insert, and the next call resumes there.
+new flow's insert, and the next call reruns that packet, which misses
+again and takes the freed room.
 
 Random victims: a victim is drawn only when the table is full, so every
 draw is ``integers(M)`` with the same ``M``. A copy of the policy's
@@ -69,7 +71,7 @@ class _Table(ctypes.Structure):
         " order_head order_tail lru_head lru_tail".split()
     ] + [
         (name, _PTR)
-        for name in "ids counts order_prev order_next lru_prev lru_next slots where index".split()
+        for name in "ids counts order_prev order_next lru_prev lru_next index".split()
     ]
 
 
@@ -81,7 +83,6 @@ class _Chunk(ctypes.Structure):
         ("weights", _PTR),
         ("n", _I64),
         ("pos", _I64),
-        ("pending", _I64),
         ("hits", _I64),
         ("draws", _PTR),
         ("draws_len", _I64),
@@ -191,7 +192,7 @@ class ResidentTable:
         self.entry_capacity = entry_capacity
         self._policy = policy
         bits = max(1, (2 * num_entries - 1).bit_length())
-        links = ("slots", "where") if self._random else ("lru_prev", "lru_next")
+        links = () if self._random else ("lru_prev", "lru_next")
         self._arrays = {
             "ids": np.empty(num_entries, dtype=np.uint64),
             "counts": np.empty(num_entries, dtype=np.int64),
@@ -232,7 +233,7 @@ class ResidentTable:
         return self._arrays["ids"][:n], self._arrays["counts"][:n]
 
     def _draws(self, n_packets: int) -> npt.NDArray[np.int64]:
-        """Look-ahead victim positions for one chunk, drawn on a copy of
+        """Look-ahead victim slots for one chunk, drawn on a copy of
         the policy's generator: at most one per packet that can miss a
         full table."""
         need = n_packets - (self.num_entries - self._state.size)
@@ -254,7 +255,7 @@ class ResidentTable:
         chunk.packets = packets.ctypes.data
         chunk.weights = weights.ctypes.data if weights is not None else None
         chunk.n = len(packets)
-        chunk.pos = chunk.pending = chunk.hits = chunk.draws_used = 0
+        chunk.pos = chunk.hits = chunk.draws_used = 0
         draws = self._draws(len(packets))
         chunk.draws = draws.ctypes.data
         chunk.draws_len = len(draws)

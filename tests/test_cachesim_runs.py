@@ -9,7 +9,8 @@ order and generator state. The engine-level contract lives in
 that overflow the buffer mid-run, jumbo and non-positive weights,
 ``y = 1``, ``M = 1``, zero-packet chunks, buffers so small that the
 kernel must return between a replacement row and the new flow's
-overflow row, and a checkpoint/restore at any chunk boundary. It also
+overflow row, a drain that wipes the table mid-chunk, and a
+checkpoint/restore at any chunk boundary. It also
 pins the numpy property the random-replacement look-ahead relies on.
 """
 
@@ -221,10 +222,10 @@ def test_jumbo_fresh_insert_run_expansion():
 @pytest.mark.parametrize("policy", ["lru", "random"])
 @pytest.mark.parametrize("buffer_capacity", [1, 2, 3])
 def test_return_between_replacement_and_jumbo_overflow(policy, buffer_capacity):
-    """Every miss on the full table emits a replacement row and then the
-    new flow's jumbo-overflow row, so tiny buffers fill between the two
-    rows of one packet: the kernel must return mid-packet and resume at
-    the pending insert."""
+    """A jumbo miss on the full table emits a replacement row and then
+    the new flow's overflow row, so tiny buffers fill between the two
+    rows of one packet: the kernel must stop before the new flow's
+    insert and redo it on the next call."""
     rng = np.random.default_rng(buffer_capacity)
     packets = rng.integers(0, 9, size=400).astype(np.uint64)
     weights = rng.integers(1, 6, size=400).astype(np.int64)
