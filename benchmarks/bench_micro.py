@@ -154,6 +154,67 @@ def bench_cache_scalar_uniform(benchmark, _cache_streams):
     _bench_scalar(benchmark, _cache_streams["uniform"])
 
 
+# -- batched drain: index, split, scatter-add ----------------------------------
+#
+# The hand-off after the cache: each stream's eviction rows are recorded
+# once (the kernel's DEFAULT_BUFFER_CAPACITY chunks), then replayed
+# through `Caesar._drain` on a fresh instance per round. That prices the
+# index memo, the splitter and the scatter-add together, with no cache
+# loop (the `bench_cache_kernel_*` benches price that half). The cache
+# holds 1024 of the 8000 flows, so replacements dominate the uniform
+# stream's evictions the way they do in the runtime's shard workers.
+
+
+@pytest.fixture(scope="module")
+def _eviction_chunks(_cache_streams):
+    from repro.cachesim.buffer import EvictionBuffer
+
+    recorded = {}
+    for name, packets in _cache_streams.items():
+        chunks = []
+
+        def record(ids, values, reasons):
+            chunks.append((ids.copy(), values.copy(), reasons.copy()))
+
+        cache = FlowCache(1024, 54, policy="lru")
+        buffer = EvictionBuffer()
+        cache.process_into(packets, buffer, record)
+        cache.dump_into(buffer, record)
+        recorded[name] = chunks
+    return recorded
+
+
+def _bench_drain(benchmark, chunks):
+    config = CaesarConfig(cache_entries=1024, entry_capacity=54, k=3, bank_size=4096)
+
+    def run(caesar):
+        for ids, values, reasons in chunks:
+            caesar._drain(ids, values, reasons)
+
+    benchmark.pedantic(
+        run,
+        setup=lambda: ((Caesar(config),), {}),
+        rounds=20,
+        iterations=1,
+        warmup_rounds=1,
+    )
+
+
+def bench_caesar_drain_zipf(benchmark, _eviction_chunks):
+    """Drain of the zipf stream's evictions (burst-32 arrival)."""
+    _bench_drain(benchmark, _eviction_chunks["zipf"])
+
+
+def bench_caesar_drain_bursty(benchmark, _eviction_chunks):
+    """Drain of the bursty stream's evictions (burst 256)."""
+    _bench_drain(benchmark, _eviction_chunks["bursty"])
+
+
+def bench_caesar_drain_uniform(benchmark, _eviction_chunks):
+    """Drain of the uniform stream's evictions (globally shuffled)."""
+    _bench_drain(benchmark, _eviction_chunks["uniform"])
+
+
 def _construct(packet_batch, engine: str, registry=None) -> Caesar:
     caesar = Caesar(
         CaesarConfig(

@@ -13,6 +13,7 @@
  * packet unprocessed: run again, it misses and finds the freed room.
  * The Python side (repro/cachesim/kernel.py) documents the state
  * layout; the scalar FlowCache.access path is the reference.
+ * fc_rows reuses the table's index for the drain's flow -> row memo.
  */
 #include <stdint.h>
 #include <string.h>
@@ -304,6 +305,26 @@ int64_t fc_load(Table *t, const uint64_t *ids, const int64_t *counts, int64_t n,
         append_slot(t->lru_prev, t->lru_next, &t->lru_head, &t->lru_tail, s);
     }
     return 0;
+}
+
+/* Index-memo probe (the batched drain's flow -> row lookup). The memo
+ * keeps each distinct flow id once, in first-seen order, in
+ * t->ids[0, size), indexed like a resident table; only the ids, index
+ * and size fields are used. Writes each of the n ids' row to rows,
+ * appending unseen ids in first-occurrence order. The caller
+ * guarantees room for n more ids. */
+void fc_rows(Table *t, const uint64_t *ids, int64_t n, int64_t *rows)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t id = ids[i];
+        int64_t s = find(t, id);
+        if (s == NIL) {
+            s = t->size++;
+            t->ids[s] = id;
+            index_put(t, id, s);
+        }
+        rows[i] = s;
+    }
 }
 
 /* Inverse of fc_load: entries in insertion order, then the policy order. */

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from repro.cachesim.kernel import MemoIndex
 from repro.errors import ConfigError
 from repro.hashing import mix
 
@@ -110,68 +111,58 @@ class BankedIndexMemo:
     The batched construction engine's replacement for the per-flow
     ``dict[int, ndarray]`` memo of the scalar reference: mapped-counter
     rows live in one contiguous ``(capacity, k)`` int64 table (doubled
-    amortized), with a dict only from flow ID to row number. A drained
-    eviction chunk resolves to counter indices with one deduplication,
-    one vectorized hash of the still-unseen flows, and one 2-D gather —
-    no per-eviction hashing.
+    amortized), and a compiled open-addressing index
+    (:class:`~repro.cachesim.kernel.MemoIndex`) maps flow IDs to rows. A
+    drained eviction chunk resolves to counter indices with one kernel
+    probe, one vectorized hash of the flows it saw first, and one 2-D
+    gather — no per-eviction hashing. The indexer stays the only hash
+    implementation, so banked and tabulation families both work.
 
     Flows are mapped to k *fixed* counters for the whole measurement
     (Section 3.1), so the memo doubles as the record of every flow the
-    cache ever evicted or dumped (:meth:`flows`).
+    cache ever evicted or dumped (:meth:`flows`), in first-seen order —
+    the scalar engine's dict order.
     """
 
     def __init__(self, indexer: BankedIndexer, initial_capacity: int = 1024) -> None:
         if initial_capacity < 1:
             raise ConfigError(f"initial_capacity must be >= 1, got {initial_capacity}")
         self.indexer = indexer
-        self._rows: dict[int, int] = {}
-        self._ids = np.empty(initial_capacity, dtype=np.uint64)
-        self._table = np.empty((initial_capacity, indexer.k), dtype=np.int64)
-        self._length = 0
+        self._initial_capacity = initial_capacity
+        # Both allocated on first use: the scalar engine builds a memo
+        # it never uses, and a fabric builds one per vantage.
+        self._index: MemoIndex | None = None
+        self._table: npt.NDArray[np.int64] | None = None
 
     def __len__(self) -> int:
         """Number of distinct flows memoized."""
-        return self._length
+        return 0 if self._index is None else len(self._index)
 
-    def _grow_to(self, needed: int) -> None:
-        capacity = len(self._table)
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        ids = np.empty(capacity, dtype=np.uint64)
-        ids[: self._length] = self._ids[: self._length]
-        self._ids = ids
-        table = np.empty((capacity, self.indexer.k), dtype=np.int64)
-        table[: self._length] = self._table[: self._length]
-        self._table = table
+    def _rows(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
+        """Each flow's table row, memoizing unseen flows in
+        first-occurrence order."""
+        if self._index is None:
+            self._index = MemoIndex(self._initial_capacity)
+            self._table = np.empty((self._initial_capacity, self.indexer.k), dtype=np.int64)
+        base = len(self._index)
+        rows = self._index.rows(flow_ids)
+        length = len(self._index)
+        if length > base:
+            if length > len(self._table):
+                capacity = len(self._table)
+                while capacity < length:
+                    capacity *= 2
+                table = np.empty((capacity, self.indexer.k), dtype=np.int64)
+                table[:base] = self._table[:base]
+                self._table = table
+            self._table[base:length] = self.indexer.indices(self._index.ids()[base:])
+        return rows
 
     def indices_for(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
         """Global counter indices for a batch of (possibly repeated)
         flow IDs; shape ``(len(flow_ids), k)``, rows ordered by bank."""
-        uniq, inverse = np.unique(flow_ids, return_inverse=True)
-        rows = np.empty(len(uniq), dtype=np.int64)
-        missing: list[int] = []
-        lookup = self._rows.get
-        for i, fid in enumerate(uniq.tolist()):
-            row = lookup(fid, -1)
-            rows[i] = row
-            if row < 0:
-                missing.append(i)
-        if missing:
-            miss = np.array(missing, dtype=np.int64)
-            new_ids = uniq[miss]
-            base = self._length
-            self._grow_to(base + len(miss))
-            self._ids[base : base + len(miss)] = new_ids
-            self._table[base : base + len(miss)] = self.indexer.indices(new_ids)
-            self._length = base + len(miss)
-            new_rows = base + np.arange(len(miss), dtype=np.int64)
-            rows[miss] = new_rows
-            store = self._rows
-            for fid, row in zip(new_ids.tolist(), new_rows.tolist()):
-                store[fid] = row
-        return self._table[rows[inverse]]
+        rows = self._rows(flow_ids)  # may grow the table
+        return self._table[rows]
 
     def preload(self, flow_ids: npt.NDArray[np.uint64]) -> None:
         """Bulk-insert flows in the given order (checkpoint restore).
@@ -179,26 +170,31 @@ class BankedIndexMemo:
         ``flow_ids`` must be distinct and not yet memoized — exactly the
         shape :meth:`flows` returns — so a resumed instance reproduces
         both the mapping *and* the first-seen ordering of the original.
+        A rejected batch leaves the memo unchanged.
         """
         flow_ids = np.asarray(flow_ids, dtype=np.uint64)
         if len(flow_ids) == 0:
             return
-        store = self._rows
-        if len(np.unique(flow_ids)) != len(flow_ids) or any(
-            fid in store for fid in flow_ids.tolist()
-        ):
+        if len(np.unique(flow_ids)) != len(flow_ids) or np.isin(flow_ids, self.flows()).any():
             raise ConfigError("preload requires distinct, unseen flow IDs")
-        base = self._length
-        self._grow_to(base + len(flow_ids))
-        self._ids[base : base + len(flow_ids)] = flow_ids
-        self._table[base : base + len(flow_ids)] = self.indexer.indices(flow_ids)
-        self._length = base + len(flow_ids)
-        for i, fid in enumerate(flow_ids.tolist()):
-            store[fid] = base + i
+        self._rows(flow_ids)
 
     def flows(self) -> npt.NDArray[np.uint64]:
         """Every flow ID memoized so far, in first-seen order."""
-        return self._ids[: self._length].copy()
+        if self._index is None:
+            return np.empty(0, dtype=np.uint64)
+        return self._index.ids().copy()
+
+    def __getstate__(self) -> dict:
+        return {
+            "indexer": self.indexer,
+            "initial_capacity": self._initial_capacity,
+            "flows": self.flows(),
+        }
+
+    def __setstate__(self, saved: dict) -> None:
+        self.__init__(saved["indexer"], saved["initial_capacity"])
+        self.preload(saved["flows"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BankedIndexMemo({self._length} flows, {self.indexer!r})"
+        return f"BankedIndexMemo({len(self)} flows, {self.indexer!r})"

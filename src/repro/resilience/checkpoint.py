@@ -110,13 +110,16 @@ def _digest(arrays: dict[str, np.ndarray], config_json: str, state_json: str) ->
     measurement state digest equal no matter which engine built them
     (tests/test_engine_equivalence.py relies on this). Presentation
     state that legitimately varies by engine is canonicalized — the
-    ``engine`` config field is dropped, ``memo_flows`` is hashed
-    sorted, and the eviction-value histogram is hashed key-sorted (the
-    memo's first-seen order and the histogram dict's insertion order
-    follow per-event order on the scalar engine but sorted-per-chunk
-    order on the batched one; neither affects any measurement
-    output). The stored members themselves are untouched — a resumed
-    run keeps its engine, memo order, and histogram order exactly.
+    ``engine`` config field is dropped, and the eviction-value
+    histogram is hashed key-sorted (its dict's insertion order follows
+    per-event order on the scalar engine but sorted-per-chunk order on
+    the batched one; it affects no measurement output).
+    ``memo_flows`` is hashed sorted as well: both engines now record
+    the memo in per-event first-seen order, but checkpoints written
+    while the batched memo was sorted per chunk keep their digests
+    only under the sort. The stored members themselves are untouched —
+    a resumed run keeps its engine, memo order, and histogram order
+    exactly.
     """
     config = json.loads(config_json)
     config.pop("engine", None)

@@ -110,16 +110,17 @@ class BankedCounterArray:
         that would push a counter beyond capacity is discarded and
         accounted in :attr:`saturated_mass`.
         """
+        indices = np.asarray(indices)
         np.add.at(self._values, indices, amounts)
-        # Saturation check only on the touched counters (deduplicated so
-        # each over-capacity counter's excess is counted once).
-        touched = np.unique(indices)
-        self._dirty[touched >> _STRIPE_SHIFT] = True
-        vals = self._values[touched]
-        over = vals > self.counter_capacity
-        if over.any():
-            self.saturated_mass += int((vals[over] - self.counter_capacity).sum())
-            self._values[touched[over]] = self.counter_capacity
+        self._dirty[indices >> _STRIPE_SHIFT] = True
+        # Saturation check only on the touched counters; only the rare
+        # over-capacity ones are deduplicated, so each counter's excess
+        # is counted once.
+        over = indices[self._values[indices] > self.counter_capacity]
+        if len(over):
+            over = np.unique(over)
+            self.saturated_mass += int((self._values[over] - self.counter_capacity).sum())
+            self._values[over] = self.counter_capacity
         if self._stuck_idx is not None:
             self._repin()
 

@@ -87,6 +87,14 @@ class TestBenchResultsSchema:
             assert f"bench_cache_kernel_{stream}" in recorded, stream
             assert f"bench_cache_scalar_{stream}" in recorded, stream
 
+    def test_drain_benches_recorded(self, results):
+        """The drain benches (index, split and scatter-add over a
+        recorded eviction stream) back the drain numbers in
+        docs/performance.md — one per stream."""
+        recorded = {entry["name"] for entry in results["benchmarks"]}
+        for stream in ("zipf", "bursty", "uniform"):
+            assert f"bench_caesar_drain_{stream}" in recorded, stream
+
     def test_runtime_transport_benches_recorded(self, results):
         """Both transports' worker-scaling curves must be in the
         artifact — 1/2/4 workers each over queues and shm rings."""
@@ -168,7 +176,7 @@ class TestBenchSuiteRuns:
                 sys.executable, "-m", "pytest", str(BENCH_FILE),
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
-                      " or cache_kernel_zipf",
+                      " or cache_kernel_zipf or caesar_drain_zipf",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

@@ -27,7 +27,10 @@ from repro.cachesim import kernel
 from repro.cachesim.base import FINAL_DUMP_CODE, OVERFLOW_CODE, REPLACEMENT_CODE
 from repro.cachesim.buffer import EvictionBuffer
 from repro.cachesim.cache import FlowCache
+from repro.core.caesar import Caesar
+from repro.core.config import CaesarConfig
 from repro.errors import ConfigError, KernelBuildError
+from repro.hashing.family import BankedIndexMemo
 
 # -- oracle helpers ---------------------------------------------------------
 
@@ -521,3 +524,17 @@ def test_batched_path_without_kernel_raises(monkeypatch):
     # The scalar reference path needs no kernel.
     cache.process(np.array([1, 1], dtype=np.uint64), lambda f, v, r: None)
     assert cache.resident_count(1) == 2
+    # Nor does a scalar-engine Caesar, from construction to restore; the
+    # batched index memo it carries stays unallocated.
+    config = CaesarConfig(cache_entries=8, entry_capacity=4, k=3, bank_size=16, engine="scalar")
+    packets = np.random.default_rng(5).integers(0, 40, size=500).astype(np.uint64)
+    caesar = Caesar(config)
+    caesar.process(packets[:300])
+    resumed = Caesar.resume(caesar.checkpoint())
+    for instance in (caesar, resumed):
+        instance.process(packets[300:])
+        instance.finalize()
+    np.testing.assert_array_equal(resumed.counters.values, caesar.counters.values)
+    assert resumed.checkpoint().digest == caesar.checkpoint().digest
+    with pytest.raises(KernelBuildError, match="no input files"):
+        BankedIndexMemo(caesar.indexer).indices_for(np.array([1], dtype=np.uint64))

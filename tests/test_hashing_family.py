@@ -1,10 +1,17 @@
-"""Unit tests for hash families and the banked indexer."""
+"""Unit tests for hash families, the banked indexer and the index memo."""
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.cachesim import kernel
+from repro.core.caesar import Caesar
+from repro.core.config import CaesarConfig
 from repro.errors import ConfigError
-from repro.hashing.family import BankedIndexer, HashFamily
+from repro.hashing.family import BankedIndexer, BankedIndexMemo, HashFamily
+from repro.hashing.tabulation import TabulationIndexer
 
 
 class TestHashFamily:
@@ -85,3 +92,121 @@ class TestBankedIndexer:
         rows = idx.indices(np.arange(32000, dtype=np.uint64))
         counts = np.bincount(rows[:, 0], minlength=32)
         assert counts.min() > 700 and counts.max() < 1300
+
+
+def _chunks(seed, num_chunks=30, universe=400):
+    """Drained-chunk-shaped id batches: repeats within and across
+    chunks, some empty."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(0, universe, size=rng.integers(0, 200)).astype(np.uint64)
+        for _ in range(num_chunks)
+    ]
+
+
+class TestBankedIndexMemo:
+    @pytest.mark.parametrize("make", [BankedIndexer, TabulationIndexer])
+    def test_rows_equal_indexer(self, make):
+        indexer = make(3, 97, seed=4)
+        memo = BankedIndexMemo(indexer)
+        for ids in _chunks(1):
+            np.testing.assert_array_equal(memo.indices_for(ids), indexer.indices(ids))
+
+    def test_flows_in_first_seen_order(self):
+        memo = BankedIndexMemo(BankedIndexer(3, 97, seed=4))
+        chunks = _chunks(2)
+        first_seen: dict[int, None] = {}
+        for ids in chunks:
+            memo.indices_for(ids)
+            first_seen.update(dict.fromkeys(ids.tolist()))
+        assert memo.flows().tolist() == list(first_seen)
+        assert len(memo) == len(first_seen)
+
+    def test_growth_from_one_keeps_every_row(self):
+        indexer = BankedIndexer(3, 1009, seed=6)
+        memo = BankedIndexMemo(indexer, initial_capacity=1)
+        ids = np.random.default_rng(3).permutation(5000).astype(np.uint64) * 7919
+        for start in range(0, len(ids), 37):  # ~13 doublings of both arrays
+            memo.indices_for(ids[start : start + 37])
+        assert memo.flows().tolist() == ids.tolist()
+        np.testing.assert_array_equal(memo.indices_for(ids[::-1]), indexer.indices(ids[::-1]))
+        assert len(memo) == len(ids)
+
+    @pytest.mark.parametrize(
+        "bad", [[9, 10, 9], [4, 11], [2]], ids=["repeated", "seen", "all-seen"]
+    )
+    def test_preload_rejects_and_leaves_memo_unchanged(self, bad):
+        indexer = BankedIndexer(3, 97, seed=4)
+        memo = BankedIndexMemo(indexer, initial_capacity=1)
+        memo.preload(np.array([5, 2, 4], dtype=np.uint64))
+        with pytest.raises(ConfigError):
+            memo.preload(np.array(bad, dtype=np.uint64))
+        assert memo.flows().tolist() == [5, 2, 4]
+        ids = np.array([4, 9, 5, 2], dtype=np.uint64)
+        np.testing.assert_array_equal(memo.indices_for(ids), indexer.indices(ids))
+        assert memo.flows().tolist() == [5, 2, 4, 9]
+
+    def test_refuses_to_outgrow_its_index(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MAX_MEMO_FLOWS", 8)
+        memo = BankedIndexMemo(BankedIndexer(3, 97, seed=4), initial_capacity=1)
+        memo.indices_for(np.arange(8, dtype=np.uint64))
+        with pytest.raises(ConfigError, match="at most"):
+            memo.indices_for(np.array([3, 8], dtype=np.uint64))
+        assert memo.flows().tolist() == list(range(8))
+
+    def test_construction_allocates_nothing(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_LIB", None)
+        memo = BankedIndexMemo(BankedIndexer(3, 97, seed=4))
+        assert len(memo) == 0 and memo.flows().tolist() == []
+        memo.preload(np.empty(0, dtype=np.uint64))
+        assert pickle.loads(pickle.dumps(memo)).flows().tolist() == []
+
+
+def _caesar_config(replacement):
+    return CaesarConfig(
+        cache_entries=32,
+        entry_capacity=6,
+        k=3,
+        bank_size=64,
+        counter_capacity=50,  # saturates, so add_at's saturation path runs
+        replacement=replacement,
+        seed=0xFACE,
+    )
+
+
+@pytest.mark.parametrize("replacement", ["lru", "random"])
+def test_batched_memo_order_matches_scalar(replacement):
+    packets = np.random.default_rng(8).integers(0, 150, size=4000).astype(np.uint64)
+    runs = {}
+    for engine in ("scalar", "batched"):
+        caesar = Caesar(
+            dataclasses.replace(_caesar_config(replacement), engine=engine),
+            buffer_capacity=61,
+        )
+        caesar.process(packets)
+        caesar.finalize()
+        runs[engine] = caesar
+    scalar, batched = runs["scalar"], runs["batched"]
+    assert scalar.counters.saturated_mass > 0
+    np.testing.assert_array_equal(scalar.flows_seen(), batched.flows_seen())
+    np.testing.assert_array_equal(scalar.counters.values, batched.counters.values)
+    assert scalar.checkpoint().digest == batched.checkpoint().digest
+
+
+@pytest.mark.parametrize("replacement", ["lru", "random"])
+def test_pickled_caesar_resumes_identically(replacement):
+    packets = np.random.default_rng(9).integers(0, 150, size=4000).astype(np.uint64)
+    straight = Caesar(_caesar_config(replacement), buffer_capacity=61)
+    straight.process(packets)
+    copied = Caesar(_caesar_config(replacement), buffer_capacity=61)
+    copied.process(packets[:1700])
+    copied = pickle.loads(pickle.dumps(copied))
+    copied.process(packets[1700:])
+    for caesar in (straight, copied):
+        caesar.finalize()
+    np.testing.assert_array_equal(copied.flows_seen(), straight.flows_seen())
+    np.testing.assert_array_equal(copied.counters.values, straight.counters.values)
+    assert copied.counters.saturated_mass == straight.counters.saturated_mass
+    assert copied.cache.stats == straight.cache.stats
+    assert copied._rng.bit_generator.state == straight._rng.bit_generator.state
+    assert copied.checkpoint().digest == straight.checkpoint().digest

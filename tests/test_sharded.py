@@ -97,19 +97,6 @@ class TestMeasurement:
             plain.estimate(tiny_trace.flows.ids),
         )
 
-    def test_parallel_construction_matches_sequential(self, tiny_trace):
-        cfg = make_config(tiny_trace)
-        seq = ShardedCaesar(cfg, num_shards=2)
-        seq.process(tiny_trace.packets)
-        seq.finalize()
-        par = ShardedCaesar(cfg, num_shards=2)
-        par.process(tiny_trace.packets, max_workers=2)
-        par.finalize()
-        np.testing.assert_allclose(
-            seq.estimate(tiny_trace.flows.ids),
-            par.estimate(tiny_trace.flows.ids),
-        )
-
     def test_process_stream_matches_one_shot(self, tiny_trace):
         """Chunked streaming ingest is bit-identical to one-shot
         process(), whatever the chunk size (docs/runtime.md)."""

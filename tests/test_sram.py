@@ -48,6 +48,36 @@ class TestBankedCounterArray:
         assert arr.values[1] == 10
         assert arr.saturated_mass == 17
 
+    def test_repeated_index_excess_counted_once(self):
+        arr = BankedCounterArray(1, 8, counter_capacity=10)
+        arr.add_at(np.array([3, 3, 3]), 4)
+        assert arr.values[3] == 10
+        assert arr.saturated_mass == 2
+
+    def test_over_capacity_counter_outside_the_call_left_alone(self):
+        arr = BankedCounterArray(1, 8, counter_capacity=10)
+        arr.add_at(np.array([0]), np.array([7]))
+        arr.flip_bit(0, 3)  # 7 -> 15, above capacity
+        arr.add_at(np.array([1, 2, 2]), np.array([4, 9, 3]))
+        assert arr.values.tolist()[:3] == [15, 4, 10]
+        assert arr.saturated_mass == 2
+
+    def test_dirty_stripes_equal_touched_stripes(self):
+        arr = BankedCounterArray(2, 1024, counter_capacity=10)  # 8 stripes
+        arr.clear_dirty()
+        indices = np.array([1800, 5, 600, 600, 2047, 5])
+        arr.add_at(indices, 20)  # saturating adds mark dirty too
+        expected = np.unique(indices >> 8)
+        np.testing.assert_array_equal(arr.dirty_stripes(), expected)
+
+    def test_stuck_counter_rejects_its_share(self):
+        arr = BankedCounterArray(1, 8, counter_capacity=10)
+        arr.stick(np.array([2]), 5)
+        arr.add_at(np.array([2, 3, 2, 4]), np.array([1, 4, 2, 12]))
+        assert arr.values.tolist()[2:5] == [5, 4, 10]
+        assert arr.stuck_lost_mass == 3
+        assert arr.saturated_mass == 2
+
     def test_total_mass(self):
         arr = BankedCounterArray(3, 5, 1000)
         arr.add_at(np.array([0, 7, 14]), np.array([1, 2, 3]))
