@@ -383,22 +383,18 @@ def bench_runtime_ingest_4w_shm(benchmark, runtime_packet_batch, tmp_path_factor
 # checkpoint boundary: what does ingest *stop* for when durability
 # fires? The timed body is exactly the worker's per-boundary code —
 # sync: `_save_checkpoint_atomic` (snapshot + digest + compress +
-# fsync + rename, all on the ingest path); async/delta:
-# `wait_idle() + capture()` (drain any leftover back-pressure from the
-# previous write, then the in-memory snapshot — the only stall the
-# async path ever charges to ingest). One chunk of stream is processed
-# per round in pedantic's *untimed* setup, which is where the
-# background write overlaps in deployment; so the async/delta numbers
-# honestly include whatever back-pressure wait survives that overlap
-# (on a single-core runner the writer competes with processing for the
-# CPU, so the wait is nonzero — it vanishes with a spare core, but the
+# fsync + rename, all on the ingest path — the seal and drain writer);
+# async: `wait_idle() + capture()` (drain any leftover back-pressure
+# from the previous write, then the in-memory snapshot — the only stall
+# the background writer ever charges to ingest). One chunk of stream is
+# processed per round in pedantic's *untimed* setup, which is where the
+# background write overlaps in deployment; so the async number honestly
+# includes whatever back-pressure wait survives that overlap (on a
+# single-core runner the writer competes with processing for the CPU,
+# so the wait is nonzero — it vanishes with a spare core, but the
 # snapshot-vs-full-write gap this bench prices does not depend on
 # that). tests/test_bench_smoke.py asserts async's median lands
-# materially under sync's at this equal cadence. This trace is dense
-# (nearly every stripe dirty between boundaries), so `delta` exercises
-# its honest full-fallback path and prices the dirty-tracking overhead
-# rather than a sparse-trace byte win — the format's size win is
-# asserted in tests/test_async_ckpt.py instead. The worker exports the
+# materially under sync's at this equal cadence. The worker exports the
 # same quantity live as `checkpoint.ingest_stall_us`.
 
 
@@ -412,7 +408,7 @@ def _bench_checkpoint(benchmark, runtime_packet_batch, tmp_path_factory, mode):
     state_dir = tmp_path_factory.mktemp(f"ck_{mode}")
     scheme = Caesar(config)
     chunks = np.array_split(runtime_packet_batch, 4)
-    ckptr = ShardCheckpointer(mode) if mode != "sync" else None
+    ckptr = ShardCheckpointer() if mode == "async" else None
     seq = [0]
 
     def setup():
@@ -428,12 +424,7 @@ def _bench_checkpoint(benchmark, runtime_packet_batch, tmp_path_factory, mode):
             _save_checkpoint_atomic(scheme, state_dir / f"ck_{s:010d}.npz")
         else:
             ckptr.wait_idle()
-            ckptr.capture(
-                scheme,
-                s,
-                full=state_dir / f"ck_{s:010d}.npz",
-                delta=state_dir / f"ck_{s:010d}_delta.npz",
-            )
+            ckptr.capture(scheme, s, state_dir / f"ck_{s:010d}.npz")
 
     try:
         benchmark.pedantic(run, setup=setup, rounds=6, iterations=1, warmup_rounds=2)
@@ -453,13 +444,6 @@ def bench_checkpoint_async(benchmark, runtime_packet_batch, tmp_path_factory):
     in-memory snapshot plus any leftover back-pressure; compression
     and fsync overlap the next chunk on the writer thread."""
     _bench_checkpoint(benchmark, runtime_packet_batch, tmp_path_factory, "async")
-
-
-def bench_checkpoint_delta(benchmark, runtime_packet_batch, tmp_path_factory):
-    """Per-boundary ingest stall, incremental background writes: only
-    dirty stripes are serialized when the write fraction allows (this
-    dense trace falls back to full, pricing the tracking overhead)."""
-    _bench_checkpoint(benchmark, runtime_packet_batch, tmp_path_factory, "delta")
 
 
 def bench_rcs_vectorized_construction(benchmark, packet_batch):

@@ -124,7 +124,6 @@ def _measure_stream(
     transport: str | None,
     registry: MetricsRegistry | None,
     num_flows: int | None,
-    checkpoint_mode: str = "async",
     checkpoint_level: int = 1,
 ) -> StreamMeasurementResult:
     """The ``workers=W`` arm of :func:`measure`: run the streaming
@@ -142,7 +141,6 @@ def _measure_stream(
             workers,
             state_dir=state_dir,
             transport=transport if transport is not None else DEFAULT_TRANSPORT,
-            checkpoint_mode=checkpoint_mode,
             checkpoint_level=checkpoint_level,
             registry=registry,
         ) as rt:
@@ -186,7 +184,6 @@ def measure(
     fault_plan: FaultPlan | None = None,
     checkpoint_every: int | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_mode: str = "async",
     checkpoint_level: int = 1,
     resume_from: str | None = None,
 ) -> MeasurementResult | StreamMeasurementResult:
@@ -215,11 +212,9 @@ def measure(
     ``packets`` (the first ``num_packets`` of the stream are skipped —
     pass the same stream the original run saw), finishing
     bit-identically to an uninterrupted run. ``checkpoint_level`` sets
-    the zlib level of every checkpoint written (0 = store-only); with
-    ``workers=``, ``checkpoint_mode`` picks how shard workers persist:
-    ``"sync"`` (write on the ingest path), ``"async"`` (background
-    writer, the default), or ``"delta"`` (background writer plus
-    incremental changed-stripe checkpoints).
+    the zlib level of every checkpoint written (0 = store-only),
+    including the shard workers' checkpoints with ``workers=``, which
+    a background writer thread persists off the ingest path.
 
     Streaming (docs/runtime.md): pass ``stream=`` instead of a packet
     array — a flat array, or any iterable of packet arrays /
@@ -353,7 +348,6 @@ def measure(
                 transport=transport,
                 registry=registry,
                 num_flows=num_flows,
-                checkpoint_mode=checkpoint_mode,
                 checkpoint_level=checkpoint_level,
             )
         caesar = Caesar(

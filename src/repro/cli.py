@@ -258,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard checkpoint cadence in chunks (0 disables)",
     )
     serve_p.add_argument(
-        "--checkpoint-mode",
-        choices=["sync", "async", "delta"],
-        default="async",
-        help="how workers persist checkpoints: on the ingest path (sync), "
-        "on a background writer thread (async, default), or background "
-        "plus incremental changed-stripe deltas (delta)",
-    )
-    serve_p.add_argument(
         "--checkpoint-level",
         type=int,
         default=1,
@@ -537,8 +529,13 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
     trace = Trace.load(args.trace)
     registry = _registry_from(args)
-    if args.checkpoint_every is not None and args.checkpoint_out is None:
-        raise ConfigError("--checkpoint-every requires --checkpoint-out")
+    if args.checkpoint_every is not None:
+        if args.checkpoint_every < 1:
+            raise ConfigError(
+                f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+            )
+        if args.checkpoint_out is None:
+            raise ConfigError("--checkpoint-every requires --checkpoint-out")
     if args.resume_from is not None:
         caesar = Caesar.resume(args.resume_from, registry=registry)
         packets = trace.packets[caesar.num_packets :]
@@ -695,7 +692,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ring_bytes=args.ring_kb * 1024 if args.ring_kb is not None else None,
             backpressure=args.backpressure,
             checkpoint_every=args.checkpoint_every,
-            checkpoint_mode=args.checkpoint_mode,
             checkpoint_level=args.checkpoint_level,
             registry=registry,
             reshard_above=args.reshard_above,

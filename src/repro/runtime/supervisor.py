@@ -376,14 +376,12 @@ class ShardSupervisor:
     def _record_checkpoint_metrics(self, info: dict) -> None:
         """Fold one checkpoint completion report into the registry.
 
-        Totals (writes, bytes, deltas, ingest stall) accumulate as
-        counters; per-write shapes (snapshot/write seconds, delta
-        fraction) land as latest-value gauges.
+        Totals (writes, bytes, ingest stall) accumulate as counters;
+        per-write shapes (snapshot/write seconds) land as latest-value
+        gauges.
         """
         m = self.metrics
         m.counter("checkpoint.writes").inc()
-        if info.get("kind") == "delta":
-            m.counter("checkpoint.deltas").inc()
         m.counter("checkpoint.bytes").inc(int(info.get("bytes", 0)))
         stall = float(info.get("stall_seconds", 0.0))
         if stall:
@@ -392,7 +390,6 @@ class ShardSupervisor:
             float(info.get("snapshot_seconds", 0.0))
         )
         m.gauge("checkpoint.write_seconds").set(float(info.get("write_seconds", 0.0)))
-        m.gauge("checkpoint.delta_fraction").set(float(info.get("delta_fraction", 1.0)))
 
     def _set_breaker_gauge(self, handle: WorkerHandle) -> None:
         self.metrics.gauge(

@@ -20,10 +20,11 @@ Durability protocol (per chunk, in order):
    ``ack_every``-fold fewer control messages; the recovery split is
    unchanged because un-acked-but-durable chunks are deduplicated on
    re-feed anyway;
-4. every ``checkpoint_every`` chunks, atomically write a
+4. every ``checkpoint_every`` chunks, snapshot the scheme and hand a
    :class:`~repro.resilience.checkpoint.Checkpoint` named by the
-   sequence number and prune the ingest WAL's role back to "since the
-   last checkpoint".
+   sequence number to the background writer, which publishes it
+   atomically; the ingest WAL's role shrinks back to "since the last
+   checkpoint".
 
 Recovery on boot inverts the protocol: restore the newest readable
 checkpoint, replay ingest-WAL chunks past its sequence number (the
@@ -56,12 +57,9 @@ import numpy.typing as npt
 from repro.core.caesar import Caesar
 from repro.core.config import CaesarConfig
 from repro.errors import IngestError, TraceFormatError
-from repro.resilience.async_ckpt import (
-    CheckpointDone,
-    ShardCheckpointer,
-    load_checkpoint,
-)
+from repro.resilience.async_ckpt import CheckpointDone, ShardCheckpointer
 from repro.resilience.atomic import atomic_publish
+from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import FaultPlan
 from repro.resilience.wal import WalRecord, WriteAheadLog
 from repro.runtime.partitioner import ShardMap
@@ -130,7 +128,7 @@ def _compute_slot(gate: "Semaphore | None", tick: "Callable[[], None] | None" = 
         if got:
             gate.release()
 
-_CKPT_RE = re.compile(r"ck_(\d{10})(_final|_delta)?\.npz$")
+_CKPT_RE = re.compile(r"ck_(\d{10})(_final)?\.npz$")
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,6 @@ class WorkerSpec:
     config: CaesarConfig
     state_dir: str
     checkpoint_every: int = 4  # chunks between checkpoints; 0 disables
-    checkpoint_mode: str = "async"  # "sync" | "async" | "delta"
     checkpoint_level: int = 1  # zlib level; 0 = store-only
     ack_every: int = DEFAULT_ACK_EVERY  # chunks between cumulative acks
     history_wals: tuple[str, ...] = ()  # ancestor ingest WALs, oldest first
@@ -166,10 +163,8 @@ class WorkerSpec:
     def wal_path(self) -> Path:
         return Path(self.state_dir) / "ingest.wal"
 
-    def checkpoint_path(
-        self, seq: int, *, final: bool = False, delta: bool = False
-    ) -> Path:
-        suffix = "_final" if final else "_delta" if delta else ""
+    def checkpoint_path(self, seq: int, *, final: bool = False) -> Path:
+        suffix = "_final" if final else ""
         return Path(self.state_dir) / f"ck_{seq:010d}{suffix}.npz"
 
 
@@ -311,10 +306,7 @@ def boot_shard(spec: WorkerSpec) -> tuple[Caesar, int, int]:
     last_seq = -1
     for seq, _final, path in reversed(_saved_checkpoints(state_dir)):
         try:
-            # load_checkpoint composes delta chains back to full state;
-            # a broken chain raises TraceFormatError like any torn file,
-            # so the fallback walk handles both alike.
-            scheme = Caesar.resume(load_checkpoint(path))
+            scheme = Caesar.resume(Checkpoint.load(path))
             last_seq = seq
             break
         except TraceFormatError:
@@ -362,8 +354,6 @@ def _warm_code_paths(state_dir: Path) -> None:
     moves those one-time faults off the measurement path. Costs a few
     milliseconds once per process lifetime.
     """
-    from repro.resilience.checkpoint import Checkpoint
-
     toy = Caesar(
         CaesarConfig(cache_entries=8, entry_capacity=8, k=2, bank_size=64)
     )
@@ -396,22 +386,9 @@ def _save_checkpoint_atomic(scheme: Caesar, target: Path, *, level: int = 1) -> 
 
 
 def _prune_checkpoints(state_dir: Path, keep: int = 2) -> None:
-    """Drop old checkpoints (bounded disk) without orphaning a delta.
-
-    Keeps everything from the ``keep``-th-newest *full* checkpoint
-    onward. Safe for chains by construction: a delta's base is the
-    checkpoint file written immediately before it, so any surviving
-    delta's chain bottoms out at the greatest full checkpoint at or
-    below its own seq — which this policy always retains.
-    """
-    saved = _saved_checkpoints(state_dir)
-    fulls = [seq for seq, _final, path in saved if "_delta" not in path.name]
-    if len(fulls) <= keep:
-        return
-    cutoff = fulls[-keep]
-    for seq, _final, path in saved:
-        if seq < cutoff:
-            path.unlink(missing_ok=True)
+    """Drop all but the ``keep`` newest checkpoints (bounded disk)."""
+    for _seq, _final, path in _saved_checkpoints(state_dir)[:-keep]:
+        path.unlink(missing_ok=True)
 
 
 # -- the worker loop ----------------------------------------------------------
@@ -450,21 +427,15 @@ def worker_main(
         scheme, last_seq, replayed = boot_shard(spec)
         wal = WriteAheadLog(spec.wal_path)
         unacked = 0
-        # Background checkpointer for the async/delta modes. Created
-        # per incarnation, so its first checkpoint is always full and
-        # delta chains never cross a crash boundary.
+        # Background checkpoint writer, one per incarnation.
         ckptr: ShardCheckpointer | None = None
-        if spec.checkpoint_every and spec.checkpoint_mode != "sync":
+        if spec.checkpoint_every:
             slow = (
                 spec.fault_plan.slow_ckpt_write
                 if spec.fault_plan is not None
                 else 0.0
             )
-            ckptr = ShardCheckpointer(
-                spec.checkpoint_mode,
-                level=spec.checkpoint_level,
-                slow_write=slow,
-            )
+            ckptr = ShardCheckpointer(level=spec.checkpoint_level, slow_write=slow)
 
         def flush_ack() -> None:
             nonlocal unacked
@@ -552,50 +523,15 @@ def worker_main(
                 unacked += 1
                 if unacked >= max(spec.ack_every, 1):
                     flush_ack()
-                if spec.checkpoint_every and (seq + 1) % spec.checkpoint_every == 0:
-                    if ckptr is not None:
-                        # Back-pressure: at most one write in flight.
-                        # The wait is the only stall the async path ever
-                        # charges to ingest, and it is zero whenever the
-                        # previous write finished between checkpoints.
-                        done, _stall = ckptr.wait_idle(tick=beat)
-                        report_checkpoints(done)
-                        with _compute_slot(compute_gate, tick=beat):
-                            ckptr.capture(
-                                scheme,
-                                seq,
-                                full=spec.checkpoint_path(seq),
-                                delta=spec.checkpoint_path(seq, delta=True),
-                            )
-                    else:
-                        t0 = time.perf_counter()
-                        with _compute_slot(compute_gate, tick=beat):
-                            digest = _save_checkpoint_atomic(
-                                scheme,
-                                spec.checkpoint_path(seq),
-                                level=spec.checkpoint_level,
-                            )
-                        stall = time.perf_counter() - t0
-                        _prune_checkpoints(Path(spec.state_dir))
-                        transport.send(
-                            (
-                                "checkpoint",
-                                shard,
-                                seq,
-                                digest,
-                                {
-                                    "kind": "full",
-                                    "mode": "sync",
-                                    "snapshot_seconds": 0.0,
-                                    "write_seconds": stall,
-                                    "bytes": spec.checkpoint_path(seq)
-                                    .stat()
-                                    .st_size,
-                                    "delta_fraction": 1.0,
-                                    "stall_seconds": stall,
-                                },
-                            )
-                        )
+                if ckptr is not None and (seq + 1) % spec.checkpoint_every == 0:
+                    # Back-pressure: at most one write in flight. The
+                    # wait is the only stall a checkpoint ever charges
+                    # to ingest, and it is zero whenever the previous
+                    # write finished between checkpoints.
+                    done, _stall = ckptr.wait_idle(tick=beat)
+                    report_checkpoints(done)
+                    with _compute_slot(compute_gate, tick=beat):
+                        ckptr.capture(scheme, seq, spec.checkpoint_path(seq))
                     flush_ack()  # checkpointed ⊇ durable: retention can drop
             elif item[0] == "seal":
                 # Reshard seal: ordered after every chunk sent before it,

@@ -23,12 +23,6 @@ from repro.errors import ConfigError
 #: ``counter_capacity`` enforces the modeled width by saturation.
 _COUNTER_DTYPE = np.int64
 
-#: Dirty tracking granularity: counters per stripe (2**_STRIPE_SHIFT).
-#: 256 int64 counters = 2 KiB per stripe — coarse enough that marking
-#: costs one vectorized shift + fancy store per scatter-add, fine
-#: enough that incremental checkpoints skip untouched regions.
-_STRIPE_SHIFT = 8
-
 
 class BankedCounterArray:
     """``k`` banks of ``bank_size`` counters, each holding at most
@@ -54,33 +48,6 @@ class BankedCounterArray:
         self._stuck_values: npt.NDArray[np.int64] | None = None
         #: Packet mass rejected by stuck counters (fault accounting).
         self.stuck_lost_mass = 0
-        # Dirty-stripe tracking for incremental checkpoints. Starts
-        # all-dirty: a fresh array has never been captured, so the
-        # first delta decision must see everything as changed.
-        self.stripe_size = 1 << _STRIPE_SHIFT
-        self.num_stripes = -(-self.total_counters // self.stripe_size)
-        self._dirty = np.ones(self.num_stripes, dtype=bool)
-
-    # -- dirty tracking --------------------------------------------------
-
-    def _mark_dirty(self, indices: npt.NDArray[np.int64]) -> None:
-        self._dirty[np.asarray(indices, dtype=np.int64) >> _STRIPE_SHIFT] = True
-
-    def dirty_stripes(self) -> npt.NDArray[np.int64]:
-        """Indices of stripes touched since the last :meth:`clear_dirty`."""
-        return np.flatnonzero(self._dirty).astype(np.int64)
-
-    def dirty_fraction(self) -> float:
-        """Fraction of stripes currently dirty (delta-vs-full decision)."""
-        return float(np.count_nonzero(self._dirty)) / self.num_stripes
-
-    def clear_dirty(self) -> None:
-        """Mark all stripes clean (call right after a checkpoint capture)."""
-        self._dirty[:] = False
-
-    def mark_all_dirty(self) -> None:
-        """Invalidate the dirty tracking (bulk state change of unknown extent)."""
-        self._dirty[:] = True
 
     # -- memory ----------------------------------------------------------
 
@@ -112,7 +79,6 @@ class BankedCounterArray:
         """
         indices = np.asarray(indices)
         np.add.at(self._values, indices, amounts)
-        self._dirty[indices >> _STRIPE_SHIFT] = True
         # Saturation check only on the touched counters; only the rare
         # over-capacity ones are deduplicated, so each counter's excess
         # is counted once.
@@ -131,7 +97,6 @@ class BankedCounterArray:
             self.saturated_mass += int(v - self.counter_capacity)
             v = self.counter_capacity
         self._values[index] = v
-        self._dirty[index >> _STRIPE_SHIFT] = True
         if self._stuck_idx is not None:
             self._repin()
 
@@ -147,7 +112,6 @@ class BankedCounterArray:
         self._stuck_idx = idx
         self._stuck_values = np.full(len(idx), int(value), dtype=_COUNTER_DTYPE)
         self._values[idx] = self._stuck_values
-        self._mark_dirty(idx)
 
     def _repin(self) -> None:
         """Re-pin stuck counters after an update, accounting the rejected mass."""
@@ -170,7 +134,6 @@ class BankedCounterArray:
         old = int(self._values[index])
         new = old ^ (1 << bit)
         self._values[index] = new
-        self._dirty[index >> _STRIPE_SHIFT] = True
         if self._stuck_idx is not None:
             self._repin()
             new = int(self._values[index])
@@ -208,9 +171,6 @@ class BankedCounterArray:
             self._stuck_idx = np.asarray(stuck_idx, dtype=np.int64)
             self._stuck_values = np.asarray(state["stuck_values"], dtype=_COUNTER_DTYPE)
         self.stuck_lost_mass = int(state.get("stuck_lost_mass", 0))
-        # Dirty bits are transient per-process bookkeeping, not part of
-        # the captured state; a restored array has no capture baseline.
-        self.mark_all_dirty()
 
     # -- reads -----------------------------------------------------------
 
@@ -271,7 +231,6 @@ class BankedCounterArray:
         self.stuck_lost_mass = 0
         if self._stuck_idx is not None:
             self._values[self._stuck_idx] = self._stuck_values
-        self.mark_all_dirty()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

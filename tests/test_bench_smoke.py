@@ -121,11 +121,11 @@ class TestBenchResultsSchema:
         ), "shm 4-worker ingest is not faster than 1-worker"
 
     def test_checkpoint_benches_recorded(self, results):
-        """The durability-cadence trio backing docs/resilience.md: sync
-        (baseline stall), async (background write), delta (incremental
-        background write) at a checkpoint-per-chunk cadence."""
+        """The durability-cadence pair backing docs/runtime.md: sync
+        (the seal and drain writer's stall) and async (the background
+        writer) at a checkpoint-per-chunk cadence."""
         recorded = {entry["name"] for entry in results["benchmarks"]}
-        for mode in ("sync", "async", "delta"):
+        for mode in ("sync", "async"):
             assert f"bench_checkpoint_{mode}" in recorded, mode
 
     def test_async_checkpoint_off_hot_path(self, results):

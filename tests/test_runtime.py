@@ -13,10 +13,12 @@ the zero-copy shared-memory rings.
 import multiprocessing as mp
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.caesar import Caesar
 from repro.core.config import CaesarConfig
 from repro.core.sharded import ShardedCaesar
 from repro.errors import ConfigError, IngestError, TraceFormatError
@@ -168,6 +170,42 @@ class TestIngestWal:
         scheme, last_seq, replayed = boot_shard(spec)
         assert (last_seq, replayed) == (1, 2)
         assert scheme.num_packets == 900
+
+    def test_boot_falls_back_past_unreadable_checkpoints(self, tmp_path, stream):
+        """Boot walks newest-first past a torn checkpoint, ignores a file
+        named like the retired ``ck_<seq>_delta.npz`` kind whatever it
+        holds, and recovers from the newest readable checkpoint plus
+        ingest-WAL replay to the state a WAL-only boot reaches."""
+        config = make_config()
+        chunks = np.array_split(stream[:3000], 6)
+
+        def spec_with_wal(name):
+            spec = WorkerSpec(shard_id=0, config=config, state_dir=str(tmp_path / name))
+            Path(spec.state_dir).mkdir()
+            with WriteAheadLog(spec.wal_path) as wal:
+                for seq, chunk in enumerate(chunks):
+                    append_ingest_chunk(wal, seq, chunk, None)
+            return spec
+
+        def state_after(n):
+            scheme = Caesar(config)
+            for chunk in chunks[:n]:
+                scheme.process(chunk)
+            return scheme.checkpoint()
+
+        spec = spec_with_wal("ckpts")
+        state_after(2).save(spec.checkpoint_path(1))
+        torn = state_after(4).save(spec.checkpoint_path(3))
+        torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+        # Readable, but of the wrong state: taking it as seq 5 would
+        # silently skip four chunks.
+        state_after(1).save(Path(spec.state_dir) / "ck_0000000005_delta.npz")
+        scheme, last_seq, replayed = boot_shard(spec)
+        assert (last_seq, replayed) == (5, 4)
+
+        reference, ref_seq, ref_replayed = boot_shard(spec_with_wal("wal_only"))
+        assert (ref_seq, ref_replayed) == (5, 6)
+        assert scheme.checkpoint().digest == reference.checkpoint().digest
 
     def test_decode_rejects_headerless_record(self, tmp_path, stream):
         path = tmp_path / "ingest.wal"

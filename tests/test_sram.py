@@ -62,14 +62,6 @@ class TestBankedCounterArray:
         assert arr.values.tolist()[:3] == [15, 4, 10]
         assert arr.saturated_mass == 2
 
-    def test_dirty_stripes_equal_touched_stripes(self):
-        arr = BankedCounterArray(2, 1024, counter_capacity=10)  # 8 stripes
-        arr.clear_dirty()
-        indices = np.array([1800, 5, 600, 600, 2047, 5])
-        arr.add_at(indices, 20)  # saturating adds mark dirty too
-        expected = np.unique(indices >> 8)
-        np.testing.assert_array_equal(arr.dirty_stripes(), expected)
-
     def test_stuck_counter_rejects_its_share(self):
         arr = BankedCounterArray(1, 8, counter_capacity=10)
         arr.stick(np.array([2]), 5)
