@@ -446,6 +446,37 @@ def bench_checkpoint_async(benchmark, runtime_packet_batch, tmp_path_factory):
     _bench_checkpoint(benchmark, runtime_packet_batch, tmp_path_factory, "async")
 
 
+# -- ingest WAL ---------------------------------------------------------------
+#
+# The other durability write on the worker's ingest path: one ingest
+# record per received chunk, appended and flushed before the chunk is
+# processed (docs/runtime.md "Durability and crash recovery"). Each
+# round writes 34 chunks of 32,768 random ids (~1.1M packets, the id
+# shape of hash-valued flows) into a fresh WAL; creating the WAL (magic
+# + fsync) is untimed setup.
+
+
+def bench_ingest_wal_append(benchmark, tmp_path):
+    """Ingest-WAL append + flush per 32,768-packet chunk of random ids."""
+    from repro.resilience.wal import WriteAheadLog
+    from repro.runtime.worker import append_ingest_chunk
+
+    ids = np.random.default_rng(0).integers(0, 2**64, size=34 * 32_768, dtype=np.uint64)
+    chunks = np.split(ids, 34)
+    path = tmp_path / "ingest.wal"
+
+    def setup():
+        path.unlink(missing_ok=True)
+        return (WriteAheadLog(path),), {}
+
+    def run(wal):
+        for seq, chunk in enumerate(chunks):
+            append_ingest_chunk(wal, seq, chunk, None)
+        wal.close()
+
+    benchmark.pedantic(run, setup=setup, rounds=10, iterations=1, warmup_rounds=1)
+
+
 def bench_rcs_vectorized_construction(benchmark, packet_batch):
     def run():
         rcs = RCS(RCSConfig(k=3, bank_size=4096))

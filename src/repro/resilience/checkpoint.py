@@ -15,9 +15,11 @@ statistics, same estimates, same generator states. The determinism
 contract (and what it requires of each captured piece) is spelled out
 in docs/resilience.md.
 
-On disk a checkpoint is one compressed ``.npz``: raw arrays for bulk
-state, two JSON documents for structured state, and a SHA-256 digest
-over all of it. :meth:`load` recomputes the digest, so truncation,
+On disk a checkpoint is one ``.npz``: raw arrays for bulk state, two
+JSON documents for structured state, and a SHA-256 digest over all of
+it. Count-like arrays are deflated; hash-valued flow ids, which do not
+compress, and the text members are stored (:func:`write_npz`).
+:meth:`load` recomputes the digest, so truncation,
 bit-rot, or a tampered member fails loudly as
 :class:`~repro.errors.TraceFormatError` instead of resuming from
 corrupt state.
@@ -64,6 +66,15 @@ _ARRAY_MEMBERS = (
     "pending_reasons",
 )
 
+#: Members written uncompressed at every level. Flow ids are 64-bit
+#: hashes, which zlib cannot shrink: deflating them was most of a
+#: checkpoint write. The text members would halve, but at the end-to-end
+#: benchmark's shard sizing deflating ``state_json`` (mostly the LRU
+#: order) costs ~2.7 ms a write to save ~56 KiB.
+_STORED_MEMBERS = frozenset(
+    {"memo_flows", "cache_ids", "pending_ids", "config_json", "state_json", "digest"}
+)
+
 _STATS_FIELDS = (
     "accesses",
     "hits",
@@ -77,29 +88,46 @@ _STATS_FIELDS = (
 
 
 def write_npz(path: Path, members: dict[str, np.ndarray], level: int = 1) -> None:
-    """Write ``members`` as a standard ``.npz`` at zlib ``level``.
+    """Write ``members`` as a standard ``.npz``, deflating at zlib ``level``.
 
     Written through :mod:`zipfile` directly because
     ``np.savez_compressed`` hardwires zlib level 6 — on DRAM-scale
     counter banks that costs ~50% more CPU than level 1 for a few
-    percent of compressed size. ``level=0`` stores members uncompressed
-    (``ZIP_STORED``), the cheapest option for the async write path
-    where CPU spent compressing competes with ingest for cores.
+    percent of compressed size — and deflates every member alike.
+    Here the members named in ``_STORED_MEMBERS`` are always stored
+    (``ZIP_STORED``) and the rest are deflated at ``level``;
+    ``level=0`` stores everything, the cheapest option for the async
+    write path where CPU spent compressing competes with ingest for
+    cores.
     """
     if not 0 <= level <= 9:
         raise ConfigError(f"compression level must be in [0, 9], got {level}")
-    method = zipfile.ZIP_STORED if level == 0 else zipfile.ZIP_DEFLATED
-    with zipfile.ZipFile(path, "w", method, compresslevel=level or None) as zf:
+    with zipfile.ZipFile(path, "w") as zf:
         for name, arr in members.items():
             arr = np.asarray(arr)
-            # NOT ascontiguousarray: it promotes the 0-d JSON/digest
-            # members to 1-d (it guarantees ndim >= 1), which breaks
-            # their round-trip as scalars.
+            # NOT ascontiguousarray: it promotes 0-d members to 1-d (it
+            # guarantees ndim >= 1), which breaks their round-trip as
+            # scalars.
             if arr.ndim and not arr.flags.c_contiguous:
                 arr = np.ascontiguousarray(arr)
             buf = io.BytesIO()
             np.lib.format.write_array(buf, arr, allow_pickle=False)
-            zf.writestr(f"{name}.npy", buf.getvalue())
+            if level == 0 or name in _STORED_MEMBERS:
+                zf.writestr(f"{name}.npy", buf.getvalue(), zipfile.ZIP_STORED)
+            else:
+                zf.writestr(f"{name}.npy", buf.getvalue(), zipfile.ZIP_DEFLATED, level)
+
+
+def _utf8(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def _text(member: np.ndarray) -> str:
+    """A text member: UTF-8 bytes, or the 0-d unicode array older
+    checkpoints stored (4 bytes a character)."""
+    if member.dtype == np.uint8:
+        return member.tobytes().decode("utf-8")
+    return str(member)
 
 
 def _digest(arrays: dict[str, np.ndarray], config_json: str, state_json: str) -> str:
@@ -322,21 +350,23 @@ class Checkpoint:
         return _digest(self.arrays, self.config_json, self.state_json)
 
     def save(self, path: str | Path, *, level: int = 1) -> Path:
-        """Write the checkpoint (``.npz`` with digest) at zlib ``level``.
+        """Write the checkpoint (``.npz`` with digest), deflating its
+        count-like members at zlib ``level``.
 
         The file is a standard ``.npz`` (``np.load``-compatible); see
-        :func:`write_npz` for why it bypasses ``np.savez_compressed``
-        and what ``level=0`` means. Checkpoint cadence sits on the
-        runtime's critical path, so the default stays at the cheap
-        level 1.
+        :func:`write_npz` for why it bypasses ``np.savez_compressed``,
+        which members it stores, and what ``level=0`` means. The JSON
+        documents and the digest are UTF-8 bytes. Checkpoint cadence
+        sits on the runtime's critical path, so the default stays at
+        the cheap level 1.
         """
         path = Path(path)
         if path.suffix != ".npz":
             path = path.with_suffix(path.suffix + ".npz")
         members = dict(self.arrays)
-        members["config_json"] = np.array(self.config_json)
-        members["state_json"] = np.array(self.state_json)
-        members["digest"] = np.array(self.digest)
+        members["config_json"] = _utf8(self.config_json)
+        members["state_json"] = _utf8(self.state_json)
+        members["digest"] = _utf8(self.digest)
         write_npz(path, members, level=level)
         return path
 
@@ -344,16 +374,18 @@ class Checkpoint:
     def load(cls, path: str | Path) -> "Checkpoint":
         """Read and *verify* a saved checkpoint.
 
-        Any damage — truncation, bit-rot inside the zip members, a
-        tampered array, missing members — raises
+        Reads the text members as written today (UTF-8 bytes) and as
+        earlier checkpoints wrote them (0-d unicode arrays). Any damage
+        — truncation, bit-rot inside the zip members, a tampered array,
+        missing members — raises
         :class:`TraceFormatError` rather than returning corrupt state.
         """
         try:
             with np.load(path, allow_pickle=False) as data:
                 arrays = {name: data[name] for name in _ARRAY_MEMBERS}
-                config_json = str(data["config_json"])
-                state_json = str(data["state_json"])
-                stored_digest = str(data["digest"])
+                config_json = _text(data["config_json"])
+                state_json = _text(data["state_json"])
+                stored_digest = _text(data["digest"])
         except (
             KeyError,
             OSError,

@@ -1,4 +1,4 @@
-"""Write-ahead log of eviction chunks (crash recovery between checkpoints).
+"""Write-ahead logs: eviction chunks, and the runtime's ingest chunks.
 
 A checkpoint captures a scheme at one chunk boundary; the WAL covers the
 gap to the *next* boundary. Every chunk drained from the cache is
@@ -10,12 +10,21 @@ checkpoint's ``wal_seq``. Because the checkpoint restores the split
 RNG's exact state and chunks replay in log order, the recovered counters
 are bit-identical to an uninterrupted run (see docs/resilience.md).
 
+The streaming runtime's shard workers log their *input* instead: one
+ingest record per received packet chunk, under the caller's chunk
+sequence number, holding the packets and any byte lengths exactly as
+received (:meth:`WriteAheadLog.append_ingest`).
+
 The on-disk format is deliberately boring: a magic header, then
 self-delimiting records ``<type u8><seq u32><rows u32><crc u32>``
-followed by the raw ``ids``/``values``/``reasons`` bytes. A torn final
-record — the normal shape of a crash mid-write — is detected and
-silently ignored; a CRC mismatch on a *complete* record is corruption
-and raises :class:`~repro.errors.TraceFormatError`.
+followed by a payload whose row width the type fixes — the raw
+``ids``/``values``/``reasons`` columns of an eviction chunk or epoch
+marker (17 bytes a row), the packet ids of an ingest record (8), or its
+ids then byte lengths (16). A torn final record — the normal shape of a
+crash mid-write — is detected and silently ignored, and re-opening the
+log for append cuts it off; a CRC mismatch on a *complete* record, or an
+unknown type, is corruption and raises
+:class:`~repro.errors.TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -42,40 +51,108 @@ WAL_MAGIC = b"RPRWAL01"
 #: Record types.
 CHUNK_RECORD = 0
 EPOCH_RECORD = 1
+INGEST_RECORD = 2  # packet ids
+INGEST_BYTES_RECORD = 3  # packet ids, then byte lengths
+INGEST_RECORDS = (INGEST_RECORD, INGEST_BYTES_RECORD)
+
+#: Payload bytes per row, by record type.
+_ROW_BYTES = {
+    CHUNK_RECORD: 17,
+    EPOCH_RECORD: 17,
+    INGEST_RECORD: 8,
+    INGEST_BYTES_RECORD: 16,
+}
 
 _HEADER = struct.Struct("<BII I")  # type, seq, rows, crc
 
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One decoded WAL record (a drained chunk or an epoch marker)."""
+    """One decoded WAL record.
+
+    A drained chunk or an epoch marker fills all three columns. An
+    ingest record carries the caller's chunk seq and its packets in
+    ``ids``; ``values`` holds the byte lengths, or ``None`` for a
+    unit-weighted chunk, and ``reasons`` is ``None``.
+    """
 
     kind: int
     seq: int
     ids: npt.NDArray[np.uint64]
-    values: npt.NDArray[np.int64]
-    reasons: npt.NDArray[np.uint8]
+    values: npt.NDArray[np.int64] | None
+    reasons: npt.NDArray[np.uint8] | None
 
     @property
     def mass(self) -> int:
         """Counted units carried by this record."""
-        return int(self.values.sum())
+        return len(self.ids) if self.values is None else int(self.values.sum())
+
+
+def _read_log(path: Path) -> bytes:
+    data = path.read_bytes()
+    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
+        raise TraceFormatError(f"{path} is not a repro write-ahead log")
+    return data
+
+
+def _walk(data: bytes, path: Path) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield ``(kind, seq, rows, start, end)`` for each complete record.
+
+    Stops silently at a torn tail; raises on an unknown type (the
+    payload cannot even be sized) or a CRC mismatch.
+    """
+    view = memoryview(data)
+    pos = len(WAL_MAGIC)
+    while pos + _HEADER.size <= len(data):
+        kind, seq, rows, crc = _HEADER.unpack_from(data, pos)
+        width = _ROW_BYTES.get(kind)
+        if width is None:
+            raise TraceFormatError(
+                f"WAL record at byte {pos} has unknown type {kind} ({path})"
+            )
+        start = pos + _HEADER.size
+        end = start + rows * width
+        if end > len(data):
+            return  # torn payload: crash mid-write
+        if zlib.crc32(view[start:end]) != crc:
+            raise TraceFormatError(f"WAL record seq={seq} failed its CRC check ({path})")
+        yield kind, seq, rows, start, end
+        pos = end
+
+
+def _cut_torn_tail(path: Path) -> tuple[int, int]:
+    """Cut a torn final record off the log: ``(last seq, bytes removed)``."""
+    data = _read_log(path)
+    last, valid_end = -1, len(WAL_MAGIC)
+    for _kind, seq, _rows, _start, valid_end in _walk(data, path):
+        last = seq
+    if valid_end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(valid_end)
+            os.fsync(fh.fileno())
+    return last, len(data) - valid_end
 
 
 class WriteAheadLog:
-    """Appendable, CRC-protected log of eviction chunks.
+    """Appendable, CRC-protected log of eviction or ingest chunks.
 
-    One log belongs to one measurement run; sequence numbers are
-    monotonically increasing across chunk and epoch records so a
-    checkpoint can name the exact replay start point.
+    One log belongs to one measurement run. Eviction and epoch records
+    take monotonically increasing sequence numbers, so a checkpoint can
+    name the exact replay start point; ingest records carry the
+    caller's chunk seq. Re-opening an existing log continues after its
+    last seq and cuts a torn tail first, so a new record never lands
+    after the garbage a crash mid-append left.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         new = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh: IO[bytes] = open(self.path, "ab")
         self.records_written = 0
         self.next_seq = 0
+        if not new:
+            last, _removed = _cut_torn_tail(self.path)
+            self.next_seq = last + 1
+        self._fh: IO[bytes] = open(self.path, "ab")
         if new:
             # The magic must be durable before any record claims to be:
             # a power cut that keeps records but loses the file creation
@@ -84,14 +161,21 @@ class WriteAheadLog:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             fsync_dir(self.path.parent)
-        else:
-            # Re-opening an existing log: continue its sequence.
-            last = -1
-            for record in self.iter_records(self.path):
-                last = record.seq
-            self.next_seq = last + 1
 
     # -- writing -----------------------------------------------------------
+
+    def _append(self, kind: int, seq: int, columns: tuple[np.ndarray, ...]) -> int:
+        # Header, then each column straight from its buffer: the CRC
+        # chains over the same buffers, so nothing is copied or joined.
+        crc = 0
+        for column in columns:
+            crc = zlib.crc32(column, crc)
+        self._fh.write(_HEADER.pack(kind, seq, len(columns[0]), crc))
+        for column in columns:
+            self._fh.write(column)
+        self.next_seq = seq + 1
+        self.records_written += 1
+        return seq
 
     def _write(
         self,
@@ -100,18 +184,15 @@ class WriteAheadLog:
         values: npt.NDArray[np.int64],
         reasons: npt.NDArray[np.uint8],
     ) -> int:
-        seq = self.next_seq
-        payload = (
-            np.ascontiguousarray(ids, dtype=np.uint64).tobytes()
-            + np.ascontiguousarray(values, dtype=np.int64).tobytes()
-            + np.ascontiguousarray(reasons, dtype=np.uint8).tobytes()
+        return self._append(
+            kind,
+            self.next_seq,
+            (
+                np.ascontiguousarray(ids, dtype=np.uint64),
+                np.ascontiguousarray(values, dtype=np.int64),
+                np.ascontiguousarray(reasons, dtype=np.uint8),
+            ),
         )
-        crc = zlib.crc32(payload)
-        self._fh.write(_HEADER.pack(kind, seq, len(ids), crc))
-        self._fh.write(payload)
-        self.next_seq += 1
-        self.records_written += 1
-        return seq
 
     def append_chunk(
         self,
@@ -144,6 +225,28 @@ class WriteAheadLog:
             np.zeros(1, dtype=np.uint8),
         )
 
+    def append_ingest(
+        self,
+        seq: int,
+        packets: npt.NDArray[np.uint64],
+        lengths: npt.NDArray[np.int64] | None,
+    ) -> int:
+        """Log one input chunk as received, under the caller's chunk ``seq``.
+
+        8 bytes a packet (16 with byte lengths) plus the header; arrays
+        that are already contiguous ``uint64``/``int64`` are written
+        without a copy.
+        """
+        ids = np.ascontiguousarray(packets, dtype=np.uint64)
+        if lengths is None:
+            return self._append(INGEST_RECORD, seq, (ids,))
+        lens = np.ascontiguousarray(lengths, dtype=np.int64)
+        if lens.shape != ids.shape:
+            raise ValueError(
+                f"ingest chunk seq={seq}: {len(lens)} lengths for {len(ids)} packets"
+            )
+        return self._append(INGEST_BYTES_RECORD, seq, (ids, lens))
+
     def flush(self) -> None:
         """Push buffered records to the OS (called at checkpoint time)."""
         self._fh.flush()
@@ -173,35 +276,13 @@ class WriteAheadLog:
         """Cut a torn final record off the log; returns bytes removed.
 
         A crash mid-append leaves a partial record at the tail. Readers
-        already ignore it, but *re-opening the log for append* would
-        write the next record after the torn bytes, desynchronizing
-        every later read. Long-lived writers (the streaming runtime's
-        shard workers) therefore truncate before appending again. A
-        complete-but-corrupt record still raises
-        :class:`TraceFormatError` — that is damage, not a torn write.
+        already ignore it, but appending after it would desynchronize
+        every later read — which is why opening a log for append cuts it
+        too. A complete-but-corrupt record or an unknown record type
+        still raises :class:`TraceFormatError` — that is damage, not a
+        torn write.
         """
-        path = Path(path)
-        data = path.read_bytes()
-        if len(data) < len(WAL_MAGIC) or data[: len(WAL_MAGIC)] != WAL_MAGIC:
-            raise TraceFormatError(f"{path} is not a repro write-ahead log")
-        pos = len(WAL_MAGIC)
-        valid_end = pos
-        while pos + _HEADER.size <= len(data):
-            kind, seq, rows, crc = _HEADER.unpack_from(data, pos)
-            payload_len = rows * (8 + 8 + 1)
-            if pos + _HEADER.size + payload_len > len(data):
-                break  # torn payload
-            payload = data[pos + _HEADER.size : pos + _HEADER.size + payload_len]
-            if zlib.crc32(payload) != crc:
-                raise TraceFormatError(
-                    f"WAL record seq={seq} failed its CRC check ({path})"
-                )
-            pos += _HEADER.size + payload_len
-            valid_end = pos
-        removed = len(data) - valid_end
-        if removed:
-            with open(path, "r+b") as fh:
-                fh.truncate(valid_end)
+        _last, removed = _cut_torn_tail(Path(path))
         return removed
 
     # -- reading -----------------------------------------------------------
@@ -211,35 +292,27 @@ class WriteAheadLog:
         """Yield complete records with ``seq >= start_seq``.
 
         A truncated final record (torn write at crash time) ends
-        iteration silently; a corrupt complete record raises
-        :class:`TraceFormatError`.
+        iteration silently; a corrupt complete record or an unknown
+        record type raises :class:`TraceFormatError`.
         """
-        data = Path(path).read_bytes()
-        if len(data) < len(WAL_MAGIC) or data[: len(WAL_MAGIC)] != WAL_MAGIC:
-            raise TraceFormatError(f"{path} is not a repro write-ahead log")
-        pos = len(WAL_MAGIC)
-        while pos < len(data):
-            if pos + _HEADER.size > len(data):
-                return  # torn header: crash mid-write
-            kind, seq, rows, crc = _HEADER.unpack_from(data, pos)
-            pos += _HEADER.size
-            payload_len = rows * (8 + 8 + 1)
-            if pos + payload_len > len(data):
-                return  # torn payload: crash mid-write
-            payload = data[pos : pos + payload_len]
-            pos += payload_len
-            if zlib.crc32(payload) != crc:
-                raise TraceFormatError(
-                    f"WAL record seq={seq} failed its CRC check ({path})"
-                )
-            if kind not in (CHUNK_RECORD, EPOCH_RECORD):
-                raise TraceFormatError(f"WAL record seq={seq} has unknown type {kind}")
+        path = Path(path)
+        data = _read_log(path)
+        for kind, seq, rows, start, _end in _walk(data, path):
             if seq < start_seq:
                 continue
-            ids = np.frombuffer(payload, dtype=np.uint64, count=rows)
-            values = np.frombuffer(payload, dtype=np.int64, count=rows, offset=rows * 8)
-            reasons = np.frombuffer(payload, dtype=np.uint8, count=rows, offset=rows * 16)
-            yield WalRecord(kind, seq, ids, values, reasons)
+            ids = np.frombuffer(data, dtype=np.uint64, count=rows, offset=start)
+            second = start + rows * 8
+            if kind == INGEST_RECORD:
+                yield WalRecord(kind, seq, ids, None, None)
+            elif kind == INGEST_BYTES_RECORD:
+                lengths = np.frombuffer(data, dtype=np.int64, count=rows, offset=second)
+                yield WalRecord(kind, seq, ids, lengths, None)
+            else:
+                values = np.frombuffer(data, dtype=np.int64, count=rows, offset=second)
+                reasons = np.frombuffer(
+                    data, dtype=np.uint8, count=rows, offset=start + rows * 16
+                )
+                yield WalRecord(kind, seq, ids, values, reasons)
 
 
 @dataclass(frozen=True)
@@ -288,7 +361,13 @@ def recover(
     start_seq = int(ckpt.meta["wal_seq"])
     chunks = 0
     mass = 0
-    for record in WriteAheadLog.iter_records(wal_path, start_seq=start_seq):
+    for record in WriteAheadLog.iter_records(wal_path):
+        if record.kind in INGEST_RECORDS:
+            raise TraceFormatError(
+                f"{wal_path} is an ingest WAL; recover() replays eviction chunks"
+            )
+        if record.seq < start_seq:
+            continue
         if record.kind == EPOCH_RECORD:
             break  # records past an epoch boundary belong to the next epoch
         caesar._drain(record.ids, record.values, record.reasons)

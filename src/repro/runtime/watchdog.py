@@ -25,7 +25,7 @@ around repeated failure:
 
 - **Poison-chunk quarantine.** When the same chunk seq crashes its
   shard ``quarantine_after`` times in a row, the supervisor spills it
-  to a CRC'd quarantine WAL (:func:`quarantine_chunk` — same framing as
+  to a CRC'd quarantine WAL (:func:`quarantine_chunk` — same record as
   the ingest WAL, so the evidence replays) plus a JSON reason record,
   accounts the packet mass, and keeps ingesting. The runtime degrades
   instead of dying; estimates stay calibrated because CSM/MLM de-noise
@@ -332,9 +332,10 @@ def quarantine_chunk(
 ) -> Path:
     """Spill one poison chunk to the shard's CRC'd quarantine WAL.
 
-    Reuses the ingest-WAL chunk framing, so the spilled evidence is
-    CRC-protected, torn-tail tolerant, and replayable offline with the
-    ordinary WAL tooling. A JSON-lines sidecar records the why.
+    Writes the ingest WAL's record, so the spilled evidence is
+    CRC-protected, torn-tail tolerant (opening the log cuts a torn tail
+    before this append), and replayable offline with the ordinary WAL
+    tooling. A JSON-lines sidecar records the why.
     """
     from repro.resilience.atomic import fsync_dir
     from repro.resilience.wal import WriteAheadLog

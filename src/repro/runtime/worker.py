@@ -33,10 +33,9 @@ then report the last recovered sequence number — the supervisor re-feeds
 anything newer from its retention buffer. A chunk therefore reaches the
 scheme exactly once, in order, across any number of crashes.
 
-The ingest WAL reuses :class:`~repro.resilience.wal.WriteAheadLog`
-unchanged: each record's first row is a header (chunk seq in the ids
-column, weighted flag in values, reason code 255) and the remaining
-rows carry the packets (and byte lengths when measuring volume).
+Each chunk is one ingest record of
+:class:`~repro.resilience.wal.WriteAheadLog`: the chunk seq in the
+record header, then the packets and any byte lengths as received.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from repro.resilience.async_ckpt import CheckpointDone, ShardCheckpointer
 from repro.resilience.atomic import atomic_publish
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import FaultPlan
-from repro.resilience.wal import WalRecord, WriteAheadLog
+from repro.resilience.wal import INGEST_RECORDS, WalRecord, WriteAheadLog
 from repro.runtime.partitioner import ShardMap
 from repro.runtime.transport import DEFAULT_ACK_EVERY
 from repro.runtime.watchdog import DEFAULT_HEARTBEAT_EVERY
@@ -71,9 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Callable
 
     from repro.runtime.transport import WorkerTransport
-
-#: Reason code marking an ingest-WAL header row (never a real eviction).
-CHUNK_HEADER_REASON = 255
 
 #: Longest idle data wait before the loop comes round for heartbeats and
 #: checkpoint reports; data and control messages end it at once.
@@ -168,7 +164,7 @@ class WorkerSpec:
         return Path(self.state_dir) / f"ck_{seq:010d}{suffix}.npz"
 
 
-# -- ingest-WAL chunk framing -------------------------------------------------
+# -- ingest-WAL records -------------------------------------------------------
 
 
 def append_ingest_chunk(
@@ -177,18 +173,8 @@ def append_ingest_chunk(
     packets: npt.NDArray[np.uint64],
     lengths: npt.NDArray[np.int64] | None,
 ) -> None:
-    """Append one input chunk, framed with a header row carrying ``seq``."""
-    n = len(packets)
-    ids = np.empty(n + 1, dtype=np.uint64)
-    values = np.zeros(n + 1, dtype=np.int64)
-    reasons = np.zeros(n + 1, dtype=np.uint8)
-    ids[0] = seq
-    reasons[0] = CHUNK_HEADER_REASON
-    ids[1:] = packets
-    if lengths is not None:
-        values[0] = 1
-        values[1:] = lengths
-    wal.append_chunk(ids, values, reasons)
+    """Append one input chunk as an ingest record under ``seq``, and flush."""
+    wal.append_ingest(seq, packets, lengths)
     wal.flush()
 
 
@@ -196,14 +182,11 @@ def decode_ingest_record(
     record: WalRecord,
 ) -> tuple[int, npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]:
     """Invert :func:`append_ingest_chunk` → ``(seq, packets, lengths)``."""
-    if len(record.ids) < 1 or record.reasons[0] != CHUNK_HEADER_REASON:
+    if record.kind not in INGEST_RECORDS:
         raise TraceFormatError(
-            f"ingest WAL record seq={record.seq} lacks a chunk header row"
+            f"WAL record seq={record.seq} is not an ingest record (type {record.kind})"
         )
-    seq = int(record.ids[0])
-    packets = record.ids[1:]
-    lengths = record.values[1:] if int(record.values[0]) == 1 else None
-    return seq, packets, lengths
+    return record.seq, record.ids, record.values
 
 
 # -- injected runtime faults --------------------------------------------------
@@ -329,7 +312,8 @@ def boot_shard(spec: WorkerSpec) -> tuple[Caesar, int, int]:
                 )
     wal_path = spec.wal_path
     if wal_path.exists() and wal_path.stat().st_size > 0:
-        WriteAheadLog.truncate_torn_tail(wal_path)
+        # Replay stops at a torn tail; the WriteAheadLog the worker
+        # opens next cuts it before appending.
         for record in WriteAheadLog.iter_records(wal_path):
             seq, packets, lengths = decode_ingest_record(record)
             if seq <= last_seq:

@@ -128,6 +128,12 @@ class TestBenchResultsSchema:
         for mode in ("sync", "async"):
             assert f"bench_checkpoint_{mode}" in recorded, mode
 
+    def test_ingest_wal_bench_recorded(self, results):
+        """The ingest-WAL append bench backs the per-packet WAL cost in
+        docs/runtime.md "Micro-benchmarks"."""
+        recorded = {entry["name"] for entry in results["benchmarks"]}
+        assert "bench_ingest_wal_append" in recorded
+
     def test_async_checkpoint_off_hot_path(self, results):
         """The point of the background writer: at an identical cadence,
         ingest+drain with async checkpoints must be materially faster
@@ -176,7 +182,8 @@ class TestBenchSuiteRuns:
                 sys.executable, "-m", "pytest", str(BENCH_FILE),
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
-                      " or cache_kernel_zipf or caesar_drain_zipf",
+                      " or cache_kernel_zipf or caesar_drain_zipf"
+                      " or ingest_wal",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

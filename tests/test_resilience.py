@@ -7,6 +7,11 @@ estimates, and the set of flows seen all match exactly, on both
 engines and both replacement policies.
 """
 
+import json
+import struct
+import zipfile
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +216,60 @@ class TestCheckpointIntegrity:
         np.savez_compressed(path, **members)
         with pytest.raises(TraceFormatError):
             Checkpoint.load(path)
+
+
+class TestCheckpointMembers:
+    """Hash-valued flow ids do not compress, so a checkpoint stores
+    them (and its text members) and deflates only the count-like
+    arrays; the file stays a standard ``.npz``."""
+
+    @staticmethod
+    def _raw_member(path, info):
+        # The member's bytes as they sit in the zip (past its local header).
+        with open(path, "rb") as fh:
+            fh.seek(info.header_offset)
+            header = fh.read(30)
+            name_len, extra_len = struct.unpack("<HH", header[26:30])
+            fh.seek(info.header_offset + 30 + name_len + extra_len)
+            return fh.read(info.compress_size)
+
+    def test_ids_stored_counts_deflated_at_level(self, tiny_trace, tmp_path):
+        caesar = Caesar(make_config())
+        caesar.process(tiny_trace.packets[:2000])
+        path = caesar.save_checkpoint(tmp_path / "ck.npz")
+        with zipfile.ZipFile(path) as zf:
+            infos = {i.filename: i for i in zf.infolist()}
+            for name in ("memo_flows", "cache_ids", "pending_ids", "state_json"):
+                assert infos[f"{name}.npy"].compress_type == zipfile.ZIP_STORED, name
+            counters = infos["counter_values.npy"]
+            assert counters.compress_type == zipfile.ZIP_DEFLATED
+            level1 = zlib.compressobj(1, zlib.DEFLATED, -15)
+            data = zf.read(counters)
+            assert self._raw_member(path, counters) == level1.compress(data) + level1.flush()
+        with np.load(path, allow_pickle=False) as z:
+            assert json.loads(z["state_json"].tobytes())["format_version"] == 2
+            np.testing.assert_array_equal(z["memo_flows"], caesar.flows_seen())
+
+    def test_parent_layout_still_loads(self, tiny_trace, tmp_path):
+        """Checkpoints written before the text members became UTF-8
+        bytes (0-d unicode arrays, every member deflated) still resume,
+        with the same digest."""
+        caesar = Caesar(make_config())
+        caesar.process(tiny_trace.packets[:2000])
+        ckpt = caesar.checkpoint()
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            **ckpt.arrays,
+            config_json=np.array(ckpt.config_json),
+            state_json=np.array(ckpt.state_json),
+            digest=np.array(ckpt.digest),
+        )
+        loaded = Checkpoint.load(path)
+        assert loaded.digest == ckpt.digest
+        np.testing.assert_array_equal(
+            loaded.restore().counters.values, caesar.counters.values
+        )
 
 
 class TestWal:

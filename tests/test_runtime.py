@@ -10,8 +10,10 @@ sensitive suites run twice: once over bounded pickled queues, once over
 the zero-copy shared-memory rings.
 """
 
+import dataclasses
 import multiprocessing as mp
 import signal
+import struct
 import time
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from repro.core.config import CaesarConfig
 from repro.core.sharded import ShardedCaesar
 from repro.errors import ConfigError, IngestError, TraceFormatError
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.wal import WriteAheadLog
+from repro.resilience.wal import WAL_MAGIC, WriteAheadLog, recover
 from repro.runtime import StreamPartitioner, chunk_stream
 from repro.runtime.client import StreamingRuntime
 from repro.runtime.queues import QueueTransport
@@ -65,6 +67,14 @@ def tiny_transport(name):
     return SharedMemoryRingTransport(ring_bytes=2048)
 
 
+def weighted_config(config):
+    """Byte-weighted sizing (the cache-kernel CI job's): an entry holds
+    16 full-size packets and the counters hold byte totals."""
+    return dataclasses.replace(
+        config, entry_capacity=16 * 1500, counter_capacity=2**40 - 1
+    )
+
+
 @pytest.fixture(scope="module")
 def stream():
     rng = np.random.default_rng(11)
@@ -72,13 +82,18 @@ def stream():
 
 
 @pytest.fixture(scope="module")
+def byte_lengths(stream):
+    return np.random.default_rng(7).integers(40, 1501, size=len(stream), dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
 def flows(stream):
     return np.unique(stream)
 
 
-def offline_baseline(config, num_shards, packets):
+def offline_baseline(config, num_shards, packets, lengths=None):
     base = ShardedCaesar(config, num_shards)
-    base.process(packets)
+    base.process(packets, lengths)
     base.finalize()
     return base
 
@@ -207,17 +222,96 @@ class TestIngestWal:
         assert (ref_seq, ref_replayed) == (5, 6)
         assert scheme.checkpoint().digest == reference.checkpoint().digest
 
-    def test_decode_rejects_headerless_record(self, tmp_path, stream):
+    def test_decode_rejects_eviction_record(self, tmp_path, stream):
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as wal:
-            wal.append_chunk(
-                stream[:4],
-                np.zeros(4, np.int64),
-                np.zeros(4, np.uint8),  # reason 0 != CHUNK_HEADER_REASON
-            )
+            wal.append_chunk(stream[:4], np.zeros(4, np.int64), np.zeros(4, np.uint8))
         (record,) = list(WriteAheadLog.iter_records(path))
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(TraceFormatError, match="not an ingest record"):
             decode_ingest_record(record)
+
+    def test_record_size_is_header_plus_raw_arrays(self, tmp_path, stream):
+        """8 bytes a packet (16 with byte lengths) plus a 13-byte header
+        per chunk, exactly, whatever the chunk sizes."""
+        path = tmp_path / "ingest.wal"
+        sizes = [(1000, False), (1, True), (0, False), (777, True), (4096, False)]
+        with WriteAheadLog(path) as wal:
+            for seq, (n, weighted) in enumerate(sizes):
+                lengths = np.full(n, 64, np.int64) if weighted else None
+                append_ingest_chunk(wal, seq, stream[:n], lengths)
+        expected = len(WAL_MAGIC) + sum(13 + n * (16 if w else 8) for n, w in sizes)
+        assert path.stat().st_size == expected
+        decoded = [decode_ingest_record(r) for r in WriteAheadLog.iter_records(path)]
+        assert [(seq, len(p), lens is not None) for seq, p, lens in decoded] == [
+            (seq, n, w) for seq, (n, w) in enumerate(sizes)
+        ]
+
+    def test_lengths_must_align_with_packets(self, tmp_path, stream):
+        """Rows are counted once for both arrays: a misaligned pair
+        would write a record no reader can size, so nothing is written."""
+        path = tmp_path / "ingest.wal"
+        with WriteAheadLog(path) as wal:
+            with pytest.raises(ValueError, match="9 lengths for 10 packets"):
+                append_ingest_chunk(wal, 0, stream[:10], np.ones(9, np.int64))
+        assert path.stat().st_size == len(WAL_MAGIC)
+
+    @pytest.mark.parametrize("cut_into", ["ids", "lengths"])
+    def test_torn_ingest_record_is_cut_silently(self, tmp_path, stream, cut_into):
+        """A crash inside a record's ids or its lengths leaves a prefix
+        that reads cleanly; reopening the log cuts the torn bytes, so
+        the next append lands right after the last complete record."""
+        path = tmp_path / "ingest.wal"
+        lengths = np.arange(100, dtype=np.int64) + 40
+        with WriteAheadLog(path) as wal:
+            append_ingest_chunk(wal, 0, stream[:50], None)
+        intact = path.stat().st_size
+        with WriteAheadLog(path) as wal:
+            append_ingest_chunk(wal, 1, stream[:100], lengths)
+        keep = 13 + (30 * 8 if cut_into == "ids" else 100 * 8 + 30 * 8)
+        path.write_bytes(path.read_bytes()[: intact + keep])
+        assert [r.seq for r in WriteAheadLog.iter_records(path)] == [0]
+        with WriteAheadLog(path) as wal:
+            assert path.stat().st_size == intact
+            assert wal.next_seq == 1
+            append_ingest_chunk(wal, 1, stream[:100], lengths)
+        seq, pkts, lens = decode_ingest_record(list(WriteAheadLog.iter_records(path))[1])
+        assert seq == 1
+        np.testing.assert_array_equal(pkts, stream[:100])
+        np.testing.assert_array_equal(lens, lengths)
+
+    def test_crc_mismatch_on_complete_ingest_record_raises(self, tmp_path, stream):
+        path = tmp_path / "ingest.wal"
+        with WriteAheadLog(path) as wal:
+            append_ingest_chunk(wal, 0, stream[:20], np.full(20, 99, np.int64))
+        data = bytearray(path.read_bytes())
+        data[-5] ^= 0x10  # inside the lengths
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="CRC"):
+            list(WriteAheadLog.iter_records(path))
+        with pytest.raises(TraceFormatError, match="CRC"):
+            WriteAheadLog.truncate_torn_tail(path)
+
+    def test_unknown_record_type_raises(self, tmp_path, stream):
+        """The type sizes the payload, so an unknown one cannot be
+        skipped or cut as a torn tail: both readers refuse the log."""
+        path = tmp_path / "ingest.wal"
+        with WriteAheadLog(path) as wal:
+            append_ingest_chunk(wal, 0, stream[:20], None)
+        with open(path, "ab") as fh:
+            fh.write(struct.pack("<BIII", 9, 1, 2, 0) + bytes(16))
+        with pytest.raises(TraceFormatError, match="unknown type 9"):
+            list(WriteAheadLog.iter_records(path))
+        with pytest.raises(TraceFormatError, match="unknown type 9"):
+            WriteAheadLog.truncate_torn_tail(path)
+
+    def test_recover_rejects_ingest_wal(self, tmp_path, stream):
+        """The eviction WAL's recover() must not drain packet ids as if
+        they were evicted flows."""
+        path = tmp_path / "ingest.wal"
+        with WriteAheadLog(path) as wal:
+            append_ingest_chunk(wal, 0, stream[:20], None)
+        with pytest.raises(TraceFormatError, match="ingest WAL"):
+            recover(Caesar(make_config()).checkpoint(), path)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -236,39 +330,45 @@ class TestBitIdentity:
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestRecovery:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["packets", "bytes"])
     def test_sigkill_mid_stream_recovers_bit_identically(
-        self, tmp_path, stream, flows, transport
+        self, tmp_path, stream, byte_lengths, flows, transport, weighted
     ):
-        config = make_config()
-        base = offline_baseline(config, 2, stream)
+        config = weighted_config(make_config()) if weighted else make_config()
+        lengths = byte_lengths if weighted else None
+        base = offline_baseline(config, 2, stream, lengths)
         chunks = np.array_split(stream, 12)
+        chunk_lengths = np.array_split(byte_lengths, 12) if weighted else [None] * 12
         with StreamingRuntime(
             config, 2, state_dir=tmp_path, transport=transport, checkpoint_every=2
         ) as rt:
-            for i, chunk in enumerate(chunks):
+            for i, (chunk, lens) in enumerate(zip(chunks, chunk_lengths)):
                 if i == 7:
                     rt.kill_worker(1)
-                rt.ingest(chunk)
+                rt.ingest(chunk, lens)
             result = rt.drain()
             assert result.restarts == 1
             assert result.num_packets == len(stream)
             assert_matches_offline(result, rt, base, flows)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["packets", "bytes"])
     def test_recovery_without_checkpoints_replays_wal(
-        self, tmp_path, stream, flows, transport
+        self, tmp_path, stream, byte_lengths, flows, transport, weighted
     ):
         """checkpoint_every=0: the restarted worker rebuilds purely from
         ingest-WAL replay plus supervisor re-feed."""
-        config = make_config()
-        base = offline_baseline(config, 2, stream)
+        config = weighted_config(make_config()) if weighted else make_config()
+        lengths = byte_lengths if weighted else None
+        base = offline_baseline(config, 2, stream, lengths)
         chunks = np.array_split(stream, 8)
+        chunk_lengths = np.array_split(byte_lengths, 8) if weighted else [None] * 8
         with StreamingRuntime(
             config, 2, state_dir=tmp_path, transport=transport, checkpoint_every=0
         ) as rt:
-            for i, chunk in enumerate(chunks):
+            for i, (chunk, lens) in enumerate(zip(chunks, chunk_lengths)):
                 if i == 5:
                     rt.kill_worker(0)
-                rt.ingest(chunk)
+                rt.ingest(chunk, lens)
             result = rt.drain()
             assert result.restarts == 1
             assert_matches_offline(result, rt, base, flows)

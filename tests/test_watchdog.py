@@ -14,6 +14,7 @@ offline run over the same surviving input (offline_twin_excluding).
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -210,6 +211,23 @@ class TestQuarantineStore:
         quarantine_chunk(tmp_path / "shard3", 3, 0, pkts, None, crashes=1, reason="y")
         records = load_quarantine(tmp_path)
         assert sorted((r.shard, r.seq) for r in records) == [(0, 2), (3, 0)]
+
+    @pytest.mark.parametrize("torn_rows", [200, 20])
+    def test_quarantine_after_torn_tail_keeps_every_record(self, tmp_path, torn_rows):
+        """A crash mid-append leaves a torn record in quarantine.wal;
+        the next quarantine must cut it, not append after it. Appended
+        after a torn header claiming 200 rows, the next record vanished
+        into the torn payload; after one claiming 20 rows, the garbage
+        failed its CRC and no record in the file loaded."""
+        pkts = np.arange(50, dtype=np.uint64)
+        quarantine_chunk(tmp_path, 0, 3, pkts, None, crashes=3, reason="a")
+        with open(tmp_path / "quarantine.wal", "ab") as fh:
+            fh.write(struct.pack("<BIII", 0, 1, torn_rows, 0) + bytes(100))
+        quarantine_chunk(tmp_path, 0, 7, pkts + 100, None, crashes=3, reason="b")
+        records = load_quarantine(tmp_path)
+        assert [r.seq for r in records] == [3, 7]
+        np.testing.assert_array_equal(records[0].packets, pkts)
+        np.testing.assert_array_equal(records[1].packets, pkts + 100)
 
     def test_reason_is_truncated(self, tmp_path):
         quarantine_chunk(
