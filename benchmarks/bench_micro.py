@@ -477,6 +477,46 @@ def bench_ingest_wal_append(benchmark, tmp_path):
     benchmark.pedantic(run, setup=setup, rounds=10, iterations=1, warmup_rounds=1)
 
 
+# -- partition -----------------------------------------------------------------
+#
+# The supervisor's per-packet routing step (docs/runtime.md "Throughput"):
+# `StreamPartitioner.partition` over the runtime batch in the end-to-end
+# benchmark's 65,536-packet chunks, without byte lengths. One shard is
+# the fabric's vantage shape (a copy, no hash); two and four shards
+# price the stable-sort split.
+
+
+def _bench_partition(benchmark, runtime_packet_batch, num_shards):
+    from repro.runtime.partitioner import DEFAULT_CHUNK_PACKETS, StreamPartitioner
+
+    partitioner = StreamPartitioner(num_shards)
+    chunks = [
+        runtime_packet_batch[i : i + DEFAULT_CHUNK_PACKETS]
+        for i in range(0, len(runtime_packet_batch), DEFAULT_CHUNK_PACKETS)
+    ]
+
+    def run():
+        for chunk in chunks:
+            partitioner.partition(chunk)
+
+    benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+
+
+def bench_partition_1shards(benchmark, runtime_packet_batch):
+    """Partition into one shard: a copy of each chunk."""
+    _bench_partition(benchmark, runtime_packet_batch, 1)
+
+
+def bench_partition_2shards(benchmark, runtime_packet_batch):
+    """Partition into two shards."""
+    _bench_partition(benchmark, runtime_packet_batch, 2)
+
+
+def bench_partition_4shards(benchmark, runtime_packet_batch):
+    """Partition into four shards."""
+    _bench_partition(benchmark, runtime_packet_batch, 4)
+
+
 def bench_rcs_vectorized_construction(benchmark, packet_batch):
     def run():
         rcs = RCS(RCSConfig(k=3, bank_size=4096))

@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import zipfile
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -182,7 +183,12 @@ class Checkpoint:
         self.arrays = arrays
         self.config_json = config_json
         self.state_json = state_json
-        self.meta = json.loads(state_json)
+
+    @cached_property
+    def meta(self) -> dict:
+        """The parsed state document, parsed on first use: capturing
+        and writing a checkpoint never reads it."""
+        return json.loads(self.state_json)
 
     # -- capture -----------------------------------------------------------
 
@@ -344,9 +350,11 @@ class Checkpoint:
 
     # -- persistence -------------------------------------------------------
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """SHA-256 content digest of this checkpoint."""
+        """SHA-256 content digest of this checkpoint, computed once: a
+        writer that reports the digest and saves the file hashes the
+        state one time."""
         return _digest(self.arrays, self.config_json, self.state_json)
 
     def save(self, path: str | Path, *, level: int = 1) -> Path:

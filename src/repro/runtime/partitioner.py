@@ -124,10 +124,25 @@ class ShardMap:
 
     def owner_of(self, flow_ids: FlowIdArray) -> npt.NDArray[np.int64]:
         """Which shard owns each flow under this map version."""
-        ids = np.asarray(flow_ids, dtype=np.uint64)
+        return self._owners(np.asarray(flow_ids, dtype=np.uint64), np.int64)
+
+    def _owners(
+        self, ids: npt.NDArray[np.uint64], dtype: npt.DTypeLike
+    ) -> npt.NDArray[np.integer]:
+        """:meth:`owner_of` as ``dtype``. A one-shard base map has
+        nothing to decide, so it skips the base hash."""
         family = _split_family(self.shard_seed, len(self.splits))
-        h = family.hash_array(0, ids)
-        owners = (h % np.uint64(self.num_base)).astype(np.int64)
+        if self.num_base == 1:
+            owners = np.zeros(len(ids), dtype=dtype)
+        else:
+            h = family.hash_array(0, ids)
+            base = np.uint64(self.num_base)
+            if self.num_base & (self.num_base - 1) == 0:
+                # Same owners as ``h % base`` for a power of two, at a
+                # tenth of the cost.
+                owners = (h & (base - np.uint64(1))).astype(dtype)
+            else:
+                owners = (h % base).astype(dtype)
         for k, split in enumerate(self.splits):
             mask = owners == split.donor
             if mask.any():
@@ -200,20 +215,37 @@ class StreamPartitioner:
     ) -> list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]]:
         """Split one chunk into per-shard subchunks, stream order kept.
 
-        Boolean-mask selection preserves the relative order of each
-        shard's packets, so concatenating a shard's subchunks over any
-        chunking of the stream yields the same substream — the
-        chunking-invariance half of the determinism argument.
+        One pass over the chunk: a stable argsort of the narrow owner
+        array groups the rows by shard (numpy radix-sorts 8- and 16-bit
+        keys), and one gather per shard copies its rows out. A stable
+        sort keeps the relative order of each shard's packets, so
+        concatenating a shard's subchunks over any chunking of the
+        stream yields the same substream — the chunking-invariance half
+        of the determinism argument. With one shard there is nothing to
+        decide: no hash, one copy.
+
+        Every subchunk is a fresh array, never a view of the caller's
+        buffer: the supervisor keeps sent subchunks for re-feed.
         """
+        if self.num_shards == 1:
+            return [
+                (
+                    np.array(packets, dtype=np.uint64),
+                    None if lengths is None else np.array(lengths),
+                )
+            ]
         packets = np.asarray(packets, dtype=np.uint64)
-        owners = self.shard_of(packets)
-        out = []
-        for s in range(self.num_shards):
-            mask = owners == s
-            out.append(
-                (packets[mask], lengths[mask] if lengths is not None else None)
-            )
-        return out
+        owners = self.shard_map._owners(
+            packets, np.min_scalar_type(self.num_shards - 1)
+        )
+        order = np.argsort(owners, kind="stable")
+        bounds = np.searchsorted(
+            owners, np.arange(1, self.num_shards, dtype=owners.dtype), sorter=order
+        )
+        return [
+            (np.take(packets, rows), None if lengths is None else np.take(lengths, rows))
+            for rows in np.split(order, bounds)
+        ]
 
 
 def chunk_stream(

@@ -46,7 +46,7 @@ import numpy.typing as npt
 
 from repro.errors import ConfigError, IngestError
 from repro.obs.registry import MetricsRegistry, resolve_registry
-from repro.runtime.partitioner import ShardMap
+from repro.runtime.partitioner import ShardMap, StreamPartitioner
 from repro.runtime.queues import DEFAULT_QUEUE_DEPTH  # noqa: F401  (re-export)
 from repro.runtime.transport import (
     BACKPRESSURE_POLICIES,
@@ -689,18 +689,14 @@ class ShardSupervisor:
             return
         self._refeeding = True
         try:
+            partitioner = StreamPartitioner(shard_map=op.new_map)
             child = op.new_map.num_shards - 1
             while op.held:
-                packets, lengths = op.held.pop(0)
-                owners = op.new_map.owner_of(packets)
+                parts = partitioner.partition(*op.held.pop(0))
                 for sid in (op.donor, child):
-                    mask = owners == sid
-                    if mask.any():
-                        self.send_chunk(
-                            sid,
-                            packets[mask],
-                            lengths[mask] if lengths is not None else None,
-                        )
+                    packets, lengths = parts[sid]
+                    if len(packets):
+                        self.send_chunk(sid, packets, lengths)
                         self.metrics.counter("runtime.reshard.refed_chunks").inc()
             self._reshard = None
             self.metrics.gauge("runtime.reshard.in_progress").set(0)

@@ -134,6 +134,14 @@ class TestBenchResultsSchema:
         recorded = {entry["name"] for entry in results["benchmarks"]}
         assert "bench_ingest_wal_append" in recorded
 
+    def test_partition_benches_recorded(self, results):
+        """The partition benches back the per-packet partition costs in
+        docs/runtime.md "Throughput" and docs/performance.md — one,
+        two and four shards."""
+        recorded = {entry["name"] for entry in results["benchmarks"]}
+        for shards in (1, 2, 4):
+            assert f"bench_partition_{shards}shards" in recorded, shards
+
     def test_async_checkpoint_off_hot_path(self, results):
         """The point of the background writer: at an identical cadence,
         ingest+drain with async checkpoints must be materially faster
@@ -183,7 +191,7 @@ class TestBenchSuiteRuns:
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
                       " or cache_kernel_zipf or caesar_drain_zipf"
-                      " or ingest_wal",
+                      " or ingest_wal or partition",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

@@ -25,9 +25,11 @@ from hypothesis import strategies as st
 
 from repro.core.sharded import ShardedCaesar
 from repro.errors import ConfigError, IngestError
+from repro.hashing.family import HashFamily
 from repro.obs.registry import MetricsRegistry
 from repro.runtime import ShardMap, ShardSplit, StreamPartitioner
 from repro.runtime.client import StreamingRuntime
+from repro.runtime.partitioner import DEFAULT_SHARD_SEED
 from repro.runtime.planner import ReshardPlanner
 from tests.conftest import wait_until
 from tests.test_runtime import TRANSPORTS, make_config
@@ -146,6 +148,116 @@ class TestShardMapProperties:
     def test_partitioner_rejects_count_map_mismatch(self):
         with pytest.raises(ConfigError):
             StreamPartitioner(3, shard_map=ShardMap(num_base=2))
+
+
+# -- one-pass partition -------------------------------------------------------
+
+
+@st.composite
+def partition_cases(draw):
+    """A map of 1–8 base shards and 0–3 splits, a chunk (possibly
+    empty), and optional byte lengths aligned with it."""
+    m = ShardMap(num_base=draw(st.integers(min_value=1, max_value=8)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        m = m.split(draw(st.integers(min_value=0, max_value=m.num_shards - 1)))
+    ids = draw(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=300)
+    )
+    packets = np.array(ids, dtype=np.uint64)
+    lengths = None
+    if draw(st.booleans()):
+        lengths = np.array(
+            draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=9000),
+                    min_size=len(ids),
+                    max_size=len(ids),
+                )
+            ),
+            dtype=np.int64,
+        )
+    return m, packets, lengths
+
+
+def mask_partition(shard_map, packets, lengths):
+    """The reference: one boolean mask per shard."""
+    owners = shard_map.owner_of(packets)
+    return [
+        (packets[owners == s], None if lengths is None else lengths[owners == s])
+        for s in range(shard_map.num_shards)
+    ]
+
+
+class TestPartitionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(partition_cases())
+    def test_matches_mask_reference(self, case):
+        m, packets, lengths = case
+        parts = StreamPartitioner(shard_map=m).partition(packets, lengths)
+        assert len(parts) == m.num_shards
+        for (pkts, lens), (ref_pkts, ref_lens) in zip(
+            parts, mask_partition(m, packets, lengths)
+        ):
+            assert pkts.dtype == np.uint64
+            np.testing.assert_array_equal(pkts, ref_pkts)
+            if lengths is None:
+                assert lens is None
+            else:
+                assert lens.dtype == lengths.dtype
+                np.testing.assert_array_equal(lens, ref_lens)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partition_cases())
+    def test_keeps_each_shards_stream_order(self, case):
+        """Partitioning stream positions in place of lengths: each
+        shard's positions come out strictly increasing, and every
+        position lands on its owner exactly once."""
+        m, packets, _ = case
+        positions = np.arange(len(packets), dtype=np.int64)
+        owners = m.owner_of(packets)
+        parts = StreamPartitioner(shard_map=m).partition(packets, positions)
+        for s, (_, pos) in enumerate(parts):
+            assert np.all(np.diff(pos) > 0)
+            assert np.all(owners[pos] == s)
+        assert sum(len(pos) for _, pos in parts) == len(packets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(partition_cases())
+    def test_parts_never_alias_the_input(self, case):
+        """The supervisor keeps sent subchunks for re-feed, so no part
+        may share memory with the caller's buffers."""
+        m, packets, lengths = case
+        for pkts, lens in StreamPartitioner(shard_map=m).partition(packets, lengths):
+            assert not np.shares_memory(pkts, packets)
+            if lengths is not None:
+                assert not np.shares_memory(lens, lengths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=16), flow_arrays)
+    def test_base_owner_is_hash_mod_base(self, num_base, ids):
+        """The base owner is the historical ``h0(flow) % num_base`` for
+        every base count, the power-of-two ones included."""
+        h = HashFamily(1, seed=DEFAULT_SHARD_SEED).hash_array(0, ids)
+        np.testing.assert_array_equal(
+            ShardMap(num_base=num_base).owner_of(ids),
+            (h % np.uint64(num_base)).astype(np.int64),
+        )
+
+    def test_one_shard_never_hashes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-shard map hashed its flows")
+
+        monkeypatch.setattr(HashFamily, "hash_array", refuse)
+        ids = np.arange(1000, dtype=np.uint64)
+        owners = ShardMap(num_base=1).owner_of(ids)
+        assert owners.dtype == np.int64
+        np.testing.assert_array_equal(owners, np.zeros(len(ids)))
+        lengths = np.full(len(ids), 64, dtype=np.int64)
+        ((pkts, lens),) = StreamPartitioner(1).partition(ids, lengths)
+        np.testing.assert_array_equal(pkts, ids)
+        np.testing.assert_array_equal(lens, lengths)
+        assert not np.shares_memory(pkts, ids)
+        assert not np.shares_memory(lens, lengths)
 
 
 # -- planner ------------------------------------------------------------------
