@@ -517,6 +517,33 @@ def bench_partition_4shards(benchmark, runtime_packet_batch):
     _bench_partition(benchmark, runtime_packet_batch, 4)
 
 
+# -- fabric router ---------------------------------------------------------------
+#
+# The fabric's per-chunk routing step (docs/performance.md "The fabric
+# router"): `Topology.route` over the runtime batch in 65,536-packet
+# chunks through PATH:6, unsampled and without byte lengths, as
+# `Fabric.ingest` calls it on the end-to-end benchmark's fabric-path6
+# workload. Routing only: no vantage processes the substreams.
+
+
+def bench_fabric_route_path6(benchmark, runtime_packet_batch):
+    """Route every chunk through PATH:6 (attachment hash, route walk)."""
+    from repro.fabric import path_topology
+    from repro.runtime.partitioner import DEFAULT_CHUNK_PACKETS
+
+    topology = path_topology(6)
+    chunks = [
+        runtime_packet_batch[i : i + DEFAULT_CHUNK_PACKETS]
+        for i in range(0, len(runtime_packet_batch), DEFAULT_CHUNK_PACKETS)
+    ]
+
+    def run():
+        for chunk in chunks:
+            topology.route(chunk)
+
+    benchmark.pedantic(run, rounds=10, iterations=1, warmup_rounds=1)
+
+
 def bench_rcs_vectorized_construction(benchmark, packet_batch):
     def run():
         rcs = RCS(RCSConfig(k=3, bank_size=4096))

@@ -82,8 +82,10 @@ def split_batch(
     total = int(q.sum())
     if total:
         slots = rng.integers(0, k, size=total)
-        rows = np.repeat(np.arange(len(values), dtype=np.int64), q)
-        np.add.at(out, (rows, slots), 1)
+        # One 1-D scatter over flat ``row * k + slot`` indices.
+        flat = np.repeat(np.arange(0, len(values) * k, k, dtype=np.int64), q)
+        flat += slots
+        np.add.at(out.reshape(-1), flat, 1)
     return out
 
 

@@ -46,6 +46,11 @@ class HashFamily:
         self._seeds = tuple(seeds)
         self._seed_arr = np.array(seeds, dtype=np.uint64)
 
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        """The per-function seeds: ``h_r(x) = splitmix64(seeds[r] ^ x)``."""
+        return self._seeds
+
     def hash_one(self, r: int, x: int) -> int:
         """Apply function ``r`` to a single value."""
         return mix.combine(self._seeds[r], x)

@@ -226,7 +226,10 @@ class StreamPartitioner:
 
         Every subchunk is a fresh array, never a view of the caller's
         buffer: the supervisor keeps sent subchunks for re-feed.
+        ``lengths``, when given, must align with ``packets``.
         """
+        if lengths is not None and len(lengths) != len(packets):
+            raise ConfigError("lengths must align with packets")
         if self.num_shards == 1:
             return [
                 (

@@ -142,6 +142,12 @@ class TestBenchResultsSchema:
         for shards in (1, 2, 4):
             assert f"bench_partition_{shards}shards" in recorded, shards
 
+    def test_fabric_route_bench_recorded(self, results):
+        """The router bench backs the per-packet routing cost in
+        docs/performance.md "The fabric router"."""
+        recorded = {entry["name"] for entry in results["benchmarks"]}
+        assert "bench_fabric_route_path6" in recorded
+
     def test_async_checkpoint_off_hot_path(self, results):
         """The point of the background writer: at an identical cadence,
         ingest+drain with async checkpoints must be materially faster
@@ -191,7 +197,7 @@ class TestBenchSuiteRuns:
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
                       " or cache_kernel_zipf or caesar_drain_zipf"
-                      " or ingest_wal or partition",
+                      " or ingest_wal or partition or fabric_route",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

@@ -134,6 +134,14 @@ class TestPartitioner:
             np.testing.assert_array_equal(pkts, stream[owners == s])
             np.testing.assert_array_equal(lens, lengths[owners == s])
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_partition_rejects_misaligned_lengths(self, stream, shards, extra):
+        with pytest.raises(ConfigError, match="align"):
+            StreamPartitioner(shards).partition(
+                stream[:1000], np.ones(1000 + extra, dtype=np.int64)
+            )
+
     def test_chunk_stream_flat_array(self, stream):
         chunks = list(chunk_stream(stream, chunk_packets=5000))
         assert [len(p) for p, _ in chunks] == [5000, 5000, 2000]
@@ -777,6 +785,17 @@ class TestLifecycle:
             rt.drain()
             with pytest.raises(IngestError, match="drained"):
                 rt.ingest(stream[:10])
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_misaligned_lengths_rejected_before_any_send(self, tmp_path, stream, extra):
+        with StreamingRuntime(make_config(), 2, state_dir=tmp_path) as rt:
+            sent = []
+            send_chunk = rt.supervisor.send_chunk
+            rt.supervisor.send_chunk = lambda *args: sent.append(args) or send_chunk(*args)
+            with pytest.raises(ConfigError, match="align"):
+                rt.ingest(stream[:1000], np.ones(1000 + extra, dtype=np.int64))
+            assert sent == []
+            assert rt.drain().num_packets == 0
 
     def test_drain_is_idempotent(self, tmp_path, stream):
         with StreamingRuntime(make_config(), 1, state_dir=tmp_path) as rt:

@@ -44,6 +44,16 @@ class TestPartitioning:
         sc2 = ShardedCaesar(cfg, num_shards=4, divide_budget=False)
         assert sc2.shard_config.bank_size == 1024
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_misaligned_lengths(self, tiny_trace, extra):
+        """Short and long byte lengths both fail before any shard sees
+        a packet."""
+        sc = ShardedCaesar(make_config(tiny_trace), num_shards=2)
+        packets = tiny_trace.packets[:1000]
+        with pytest.raises(ConfigError, match="align"):
+            sc.process(packets, np.full(1000 + extra, 64, dtype=np.int64))
+        assert all(shard.num_packets == 0 for shard in sc.shards)
+
     def test_rejects_zero_shards(self, tiny_trace):
         with pytest.raises(ConfigError):
             ShardedCaesar(make_config(tiny_trace), num_shards=0)
