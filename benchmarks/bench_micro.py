@@ -285,15 +285,14 @@ def bench_caesar_construction_metrics_enabled(benchmark, packet_batch):
 # -- streaming runtime ingest throughput -------------------------------------
 #
 # Steady-state cost of the deployment-shaped path (docs/runtime.md):
-# partition -> transport -> W worker processes -> drain. Measured at
-# 1/2/4 workers over the same packet batch, once per transport (pickled
-# queues vs zero-copy shared-memory rings), so both the worker scaling
-# and the transport tax (either 1w variant vs plain construction) are
-# readable straight from the artifact.
+# partition -> shared-memory ring -> W worker processes -> drain.
+# Measured at 1/2/4 workers over the same packet batch, so both the
+# worker scaling and the data-plane tax (the 1w run vs plain
+# construction) are readable straight from the artifact.
 #
 # The timed section is ingest + drain only. Each round gets a fresh,
 # already-started runtime from pedantic's untimed setup hook: process
-# startup (fork, transport plumbing, counter-bank prefault) is a
+# startup (fork, ring and queue plumbing, counter-bank prefault) is a
 # once-per-deployment cost that scales with W and would otherwise
 # drown the per-packet signal the curve is meant to show. A fresh
 # state dir per round means no run recovers its predecessor's state.
@@ -302,7 +301,7 @@ def bench_caesar_construction_metrics_enabled(benchmark, packet_batch):
 # checkpoint each worker writes at finalize.
 
 
-def _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, workers, transport):
+def _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, workers):
     from repro.runtime.client import StreamingRuntime
 
     # Paper-shaped sizing: a small SRAM cache in front of DRAM-scale
@@ -323,8 +322,7 @@ def _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, workers, t
         rt = StreamingRuntime(
             config,
             workers,
-            state_dir=tmp_path_factory.mktemp(f"rt{workers}w{transport}"),
-            transport=transport,
+            state_dir=tmp_path_factory.mktemp(f"rt{workers}w"),
             checkpoint_every=0,
         )
         rt.start()
@@ -345,36 +343,20 @@ def _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, workers, t
             live.pop("rt").shutdown()
 
 
-def bench_runtime_ingest_1w(benchmark, runtime_packet_batch, tmp_path_factory):
-    """Streaming runtime, one shard worker, queue transport (the
-    pickled-IPC overhead floor)."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 1, "queue")
-
-
-def bench_runtime_ingest_2w(benchmark, runtime_packet_batch, tmp_path_factory):
-    """Streaming runtime, two shard workers, queue transport."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 2, "queue")
-
-
-def bench_runtime_ingest_4w(benchmark, runtime_packet_batch, tmp_path_factory):
-    """Streaming runtime, four shard workers, queue transport."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 4, "queue")
-
-
 def bench_runtime_ingest_1w_shm(benchmark, runtime_packet_batch, tmp_path_factory):
     """Streaming runtime, one shard worker, shared-memory rings (the
     zero-copy overhead floor)."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 1, "shm")
+    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 1)
 
 
 def bench_runtime_ingest_2w_shm(benchmark, runtime_packet_batch, tmp_path_factory):
     """Streaming runtime, two shard workers, shared-memory rings."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 2, "shm")
+    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 2)
 
 
 def bench_runtime_ingest_4w_shm(benchmark, runtime_packet_batch, tmp_path_factory):
     """Streaming runtime, four shard workers, shared-memory rings."""
-    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 4, "shm")
+    _bench_runtime(benchmark, runtime_packet_batch, tmp_path_factory, 4)
 
 
 # -- checkpoint cadence on the ingest path ------------------------------------

@@ -121,7 +121,6 @@ def _measure_stream(
     workers: int,
     chunk_packets: int,
     state_dir: str | None,
-    transport: str | None,
     registry: MetricsRegistry | None,
     num_flows: int | None,
     checkpoint_level: int = 1,
@@ -129,7 +128,6 @@ def _measure_stream(
     """The ``workers=W`` arm of :func:`measure`: run the streaming
     runtime over the stream, then rebuild the offline twin."""
     from repro.runtime.client import StreamingRuntime
-    from repro.runtime.transport import DEFAULT_TRANSPORT
 
     tmp: tempfile.TemporaryDirectory | None = None
     if state_dir is None:
@@ -140,7 +138,6 @@ def _measure_stream(
             config,
             workers,
             state_dir=state_dir,
-            transport=transport if transport is not None else DEFAULT_TRANSPORT,
             checkpoint_level=checkpoint_level,
             registry=registry,
         ) as rt:
@@ -170,7 +167,6 @@ def measure(
     expected_flows: int | None = None,
     chunk_packets: int | None = None,
     state_dir: str | None = None,
-    transport: str | None = None,
     sram_kb: float | None = None,
     cache_kb: float | None = None,
     target_rel_error: float | None = None,
@@ -223,28 +219,19 @@ def measure(
     With an iterable, give ``expected_packets`` + ``expected_flows`` so
     the sizing rules can run before the stream is consumed. Adding
     ``workers=W`` fans ingest out over ``W`` supervised shard worker
-    processes (the :mod:`repro.runtime` runtime — bounded queues,
-    live queries, crash recovery) and returns a
-    :class:`StreamMeasurementResult` whose estimates are bit-identical
-    to the single-process sharded run; ``state_dir`` keeps the workers'
-    checkpoints/WALs (default: a temporary directory, removed after
-    the run); ``transport`` picks how chunks reach the workers —
-    ``"shm"`` (default, zero-copy shared-memory rings) or ``"queue"``
-    (bounded pickled queues) — without changing results.
+    processes (the :mod:`repro.runtime` runtime — one zero-copy
+    shared-memory ring per shard, live queries, crash recovery) and
+    returns a :class:`StreamMeasurementResult` whose estimates are
+    bit-identical to the single-process sharded run; ``state_dir``
+    keeps the workers' checkpoints/WALs (default: a temporary
+    directory, removed after the run).
     """
     if (packets is None) == (stream is None):
         raise ConfigError("give exactly one of packets= or stream=")
     if stream is None and not (
-        workers is None
-        and chunk_packets is None
-        and state_dir is None
-        and transport is None
+        workers is None and chunk_packets is None and state_dir is None
     ):
-        raise ConfigError(
-            "workers/chunk_packets/state_dir/transport apply only with stream="
-        )
-    if transport is not None and workers is None:
-        raise ConfigError("transport= applies only with workers=")
+        raise ConfigError("workers/chunk_packets/state_dir apply only with stream=")
     if stream is not None:
         if checkpoint_every is not None or resume_from is not None:
             raise ConfigError(
@@ -345,7 +332,6 @@ def measure(
                 workers=workers,
                 chunk_packets=cp,
                 state_dir=state_dir,
-                transport=transport,
                 registry=registry,
                 num_flows=num_flows,
                 checkpoint_level=checkpoint_level,

@@ -14,15 +14,15 @@ Subcommands::
 (``repro`` is an alias of ``caesar-repro`` — same entry point.)
 
 ``serve`` streams a saved trace through the supervised shard-worker
-runtime (:mod:`repro.runtime`): bounded queues with a backpressure
-policy, optional live queries mid-ingest (``--query-every``),
-deterministic fault injection by SIGKILLing a worker mid-stream
-(``--chaos-kill SHARD:CHUNK``), live elastic shard splits — scripted
-(``--reshard SHARD:AT_CHUNK``) or hot-shard-triggered
-(``--reshard-above FILL``) — and ``--verify-offline`` proving the
-result bit-identical to a single-process sharded run under the final
-shard map — the CI runtime-smoke and reshard-smoke jobs run exactly
-this (see docs/runtime.md).
+runtime (:mod:`repro.runtime`): one shared-memory ring per shard
+(``--ring-kb``) with a backpressure policy, optional live queries
+mid-ingest (``--query-every``), deterministic fault injection by
+SIGKILLing a worker mid-stream (``--chaos-kill SHARD:CHUNK``), live
+elastic shard splits — scripted (``--reshard SHARD:AT_CHUNK``) or
+hot-shard-triggered (``--reshard-above FILL``) — and
+``--verify-offline`` proving the result bit-identical to a
+single-process sharded run under the final shard map — the CI
+serve-smoke job runs exactly this (see docs/runtime.md).
 
 ``fabric`` deploys one CAESAR per node of a routed topology
 (:mod:`repro.fabric`): flows hash to (ingress, egress) attachment
@@ -66,6 +66,7 @@ from repro.experiments.registry import list_experiments, run_experiment
 from repro.experiments.trace_setup import DEFAULT_SEED, ExperimentSetup, configured_scale
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.faults import parse_fault_spec
+from repro.runtime.transport import DEFAULT_RING_BYTES
 from repro.traffic.trace import Trace, default_paper_trace
 
 
@@ -210,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_p = sub.add_parser(
-        "serve", help="stream a saved trace through the shard-worker runtime"
+        "serve",
+        help="stream a saved trace through the shard-worker runtime "
+        "(one shared-memory ring per shard)",
     )
     serve_p.add_argument("--trace", required=True, help="input .npz trace")
     serve_p.add_argument(
@@ -227,28 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="packets per ingest chunk (the unit of queuing and recovery)",
     )
     serve_p.add_argument(
-        "--transport",
-        choices=["queue", "shm"],
-        default="shm",
-        help="data plane: zero-copy shared-memory rings (shm, default) or "
-        "bounded pickled queues (queue); results are identical either way",
-    )
-    serve_p.add_argument(
-        "--queue-depth", type=int, default=8, help="bound of each shard's inbox (chunks)"
-    )
-    serve_p.add_argument(
         "--ring-kb",
         type=int,
-        default=None,
+        default=DEFAULT_RING_BYTES // 1024,
         metavar="KB",
-        help="per-shard shared-memory ring size in KiB (shm transport only; "
-        "default 4096)",
+        help="size of each shard's shared-memory ring, the data plane "
+        "every chunk crosses, in KiB (default %(default)s)",
     )
     serve_p.add_argument(
         "--backpressure",
         choices=["block", "shed", "error"],
         default="block",
-        help="full-queue policy: block the producer, shed the chunk, or error",
+        help="full-ring policy: block the producer, shed the chunk, or error",
     )
     serve_p.add_argument(
         "--checkpoint-every",
@@ -624,8 +617,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ) from None
         if not 0 <= reshard[0] < args.workers:
             raise ConfigError(f"--reshard shard {reshard[0]} out of range")
-    if args.ring_kb is not None and args.transport != "shm":
-        raise ConfigError("--ring-kb applies only with --transport shm")
     worker_faults = {}
     for spec_s in args.inject_worker or ():
         try:
@@ -640,7 +631,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         worker_faults[shard] = parse_fault_spec(fault_s)
     print(
         f"serving {args.trace} over {args.workers} shard workers "
-        f"({config.describe()}, transport={args.transport}, "
+        f"({config.describe()}, ring={args.ring_kb} KiB, "
         f"chunk={args.chunk_packets}, backpressure={args.backpressure})"
     )
     tmp = None
@@ -687,9 +678,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config,
             args.workers,
             state_dir=state_dir,
-            transport=args.transport,
-            queue_depth=args.queue_depth,
-            ring_bytes=args.ring_kb * 1024 if args.ring_kb is not None else None,
+            ring_bytes=args.ring_kb * 1024,
             backpressure=args.backpressure,
             checkpoint_every=args.checkpoint_every,
             checkpoint_level=args.checkpoint_level,

@@ -130,13 +130,6 @@ class ShardedScheme:
         """Which shard owns each flow (RSS-style hash partition)."""
         return self.partitioner.shard_of(flow_ids)
 
-    def _partition(
-        self,
-        packets: FlowIdArray,
-        lengths: npt.NDArray[np.int64] | None,
-    ) -> list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]]:
-        return self.partitioner.partition(packets, lengths)
-
     # -- construction phase ------------------------------------------------------
 
     def process(
@@ -151,7 +144,7 @@ class ShardedScheme:
             raise QueryError("cannot process packets after finalize()")
         packets = np.asarray(packets, dtype=np.uint64)
         with self.metrics.timer("sharded.process"):
-            self._feed(self._partition(packets, lengths))
+            self._feed(self.partitioner.partition(packets, lengths))
 
     def _feed(
         self,
@@ -193,7 +186,7 @@ class ShardedScheme:
             for pkts, lens in chunk_stream(
                 stream, lengths=lengths, chunk_packets=chunk_packets
             ):
-                self._feed(self._partition(pkts, lens))
+                self._feed(self.partitioner.partition(pkts, lens))
 
     def finalize(self) -> None:
         """Finalize every shard (idempotent); records the aggregate and

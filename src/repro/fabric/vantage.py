@@ -74,7 +74,7 @@ class VantagePoint:
     ``workers=N`` runs ``N`` supervised shard-worker processes through
     the streaming runtime (``state_dir`` required — checkpoints and
     WALs live there). ``runtime_options`` passes through to
-    :class:`~repro.runtime.StreamingRuntime` (transport, checkpoint
+    :class:`~repro.runtime.StreamingRuntime` (ring size, checkpoint
     cadence, fault injection, ...).
     """
 

@@ -3,11 +3,11 @@
 The one-shot paths (``Caesar.process``, ``ShardedCaesar.process``)
 assume the whole trace is an array in hand. This package is the
 deployment shape instead: ``W`` long-lived worker processes, one CAESAR
-shard each, fed packet chunks through a pluggable transport with a
-backpressure policy, answering live queries mid-ingest, and supervised
-— a worker killed at any instant is restarted from its newest
-checkpoint plus ingest-WAL replay and re-fed what it lost, finishing
-bit-identically to a run that never crashed. See ``docs/runtime.md``
+shard each, fed packet chunks through one shared-memory ring per shard
+with a backpressure policy, answering live queries mid-ingest, and
+supervised — a worker killed at any instant is restarted from its
+newest checkpoint plus ingest-WAL replay and re-fed what it lost,
+finishing bit-identically to a run that never crashed. See ``docs/runtime.md``
 for the architecture and the determinism argument.
 
 Module map:
@@ -16,14 +16,11 @@ Module map:
   partitioning and stream chunking (shared with
   :class:`~repro.core.sharded.ShardedScheme` so both ingest paths agree
   bit for bit);
-- :mod:`~repro.runtime.transport` — the transport protocol: per-shard
-  channels with block/shed/error backpressure, split data/control/
-  message planes, restart-safe lifecycle;
-- :mod:`~repro.runtime.queues` — the bounded-``mp.Queue`` transport
-  (pickled chunks; portable, debuggable);
-- :mod:`~repro.runtime.shm` — the zero-copy shared-memory ring
-  transport (raw NumPy chunk bytes, fixed-width headers, batched acks;
-  the default);
+- :mod:`~repro.runtime.transport` — the data plane: one zero-copy
+  shared-memory ring per shard (raw NumPy chunk bytes, fixed-width
+  headers, fragmentation of oversized chunks) with block/shed/error
+  backpressure, control and message planes on ``multiprocessing``
+  queues, and a restart-safe per-incarnation lifecycle;
 - :mod:`~repro.runtime.worker` — the shard worker process: ingest WAL,
   periodic atomic checkpoints, boot-time recovery;
 - :mod:`~repro.runtime.supervisor` — process babysitting: crash
@@ -49,16 +46,12 @@ from repro.runtime.partitioner import (
     chunk_stream,
 )
 from repro.runtime.planner import DEFAULT_SUSTAIN, ReshardPlanner
-from repro.runtime.queues import DEFAULT_QUEUE_DEPTH, QueueTransport
-from repro.runtime.shm import DEFAULT_RING_BYTES, SharedMemoryRingTransport
 from repro.runtime.supervisor import ShardSupervisor
 from repro.runtime.transport import (
     BACKPRESSURE_POLICIES,
     DEFAULT_ACK_EVERY,
+    DEFAULT_RING_BYTES,
     DEFAULT_TRANSPORT,
-    TRANSPORTS,
-    Transport,
-    resolve_transport,
 )
 from repro.runtime.watchdog import (
     DEFAULT_HANG_TIMEOUT,
@@ -96,26 +89,21 @@ __all__ = [
     "DEFAULT_HANG_TIMEOUT",
     "DEFAULT_HEARTBEAT_EVERY",
     "DEFAULT_QUARANTINE_AFTER",
-    "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_RING_BYTES",
     "DEFAULT_SHARD_SEED",
     "DEFAULT_SUSTAIN",
     "DEFAULT_TRANSPORT",
     "PartialEstimate",
     "QuarantineRecord",
-    "QueueTransport",
     "ReshardPlanner",
     "RestartBudget",
     "RuntimeResult",
-    "SharedMemoryRingTransport",
     "ShardMap",
     "ShardQueryStatus",
     "ShardSplit",
     "ShardSupervisor",
     "StreamPartitioner",
     "StreamingRuntime",
-    "TRANSPORTS",
-    "Transport",
     "Watchdog",
     "WatchdogConfig",
     "WorkerSpec",
@@ -124,5 +112,4 @@ __all__ = [
     "chunk_stream",
     "load_quarantine",
     "offline_twin_excluding",
-    "resolve_transport",
 ]

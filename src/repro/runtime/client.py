@@ -3,13 +3,11 @@
 :class:`StreamingRuntime` is the deployment-shaped entry point the
 one-shot paths lack: ``W`` long-lived worker processes (one CAESAR
 shard each, configs derived exactly as :class:`~repro.core.sharded.
-ShardedCaesar` derives them), fed through a pluggable transport — the
-zero-copy shared-memory ring data plane by default, bounded pickled
-queues on request — with a backpressure policy, answering live queries
-mid-ingest, and supervised
-— a SIGKILLed worker is restarted from its newest checkpoint plus
-ingest-WAL replay, then re-fed whatever it lost, finishing
-bit-identically to a run that never crashed.
+ShardedCaesar` derives them), fed through one zero-copy shared-memory
+ring per shard with a backpressure policy, answering live queries
+mid-ingest, and supervised — a SIGKILLed worker is restarted from its
+newest checkpoint plus ingest-WAL replay, then re-fed whatever it
+lost, finishing bit-identically to a run that never crashed.
 
 Usage::
 
@@ -26,9 +24,8 @@ Determinism contract (docs/runtime.md): with the default ``"block"``
 backpressure policy, ``rt.drain()``'s per-shard states — estimates *and*
 checkpoint digests — equal a single-process
 ``ShardedCaesar(config, W).process(stream)`` run bit for bit, for every
-engine and every transport, regardless of chunk sizes, channel
-capacities, scheduling interleave, or how many workers were killed
-along the way.
+engine, regardless of chunk sizes, ring capacities, scheduling
+interleave, or how many workers were killed along the way.
 """
 
 from __future__ import annotations
@@ -56,13 +53,8 @@ from repro.runtime.partitioner import (
     chunk_stream,
 )
 from repro.runtime.planner import DEFAULT_SUSTAIN, ReshardPlanner
-from repro.runtime.supervisor import DEFAULT_QUEUE_DEPTH, ShardSupervisor
-from repro.runtime.transport import (
-    DEFAULT_ACK_EVERY,
-    DEFAULT_TRANSPORT,
-    Transport,
-    resolve_transport,
-)
+from repro.runtime.supervisor import ShardSupervisor
+from repro.runtime.transport import DEFAULT_ACK_EVERY, DEFAULT_RING_BYTES
 from repro.runtime.watchdog import (
     DEFAULT_HANG_TIMEOUT,
     DEFAULT_HEARTBEAT_EVERY,
@@ -147,9 +139,7 @@ class StreamingRuntime:
         state_dir: str | Path,
         divide_budget: bool = True,
         shard_seed: int = DEFAULT_SHARD_SEED,
-        transport: "str | Transport" = DEFAULT_TRANSPORT,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        ring_bytes: int | None = None,
+        ring_bytes: int = DEFAULT_RING_BYTES,
         backpressure: str = "block",
         checkpoint_every: int = 4,
         checkpoint_level: int = 1,
@@ -203,9 +193,6 @@ class StreamingRuntime:
             )
         )
         self.metrics = resolve_registry(registry)
-        self.transport = resolve_transport(
-            transport, queue_depth=queue_depth, ring_bytes=ring_bytes
-        )
         self.heartbeat_every = heartbeat_every
         self.query_deadline = query_deadline
         faults = worker_faults or {}
@@ -226,7 +213,7 @@ class StreamingRuntime:
         ]
         self.supervisor = ShardSupervisor(
             specs,
-            transport=self.transport,
+            ring_bytes=ring_bytes,
             backpressure=backpressure,
             registry=registry,
             max_restarts=max_restarts,
@@ -282,7 +269,7 @@ class StreamingRuntime:
         packets: FlowIdArray,
         lengths: npt.NDArray[np.int64] | None = None,
     ) -> int:
-        """Partition one chunk across the shard queues.
+        """Partition one chunk across the shard rings.
 
         Returns the number of packets accepted (less than ``len(packets)``
         only under the ``"shed"`` backpressure policy).

@@ -1,10 +1,10 @@
 """Hot-shard detection: when to split, and which shard.
 
 Elastic resharding only pays off when it fires on *sustained* skew —
-one deep queue observation is usually a scheduling hiccup, and a split
+one deep ring observation is usually a scheduling hiccup, and a split
 triggered on it would churn workers for nothing. The
-:class:`ReshardPlanner` therefore watches the transport-neutral
-data-plane fill fraction (:meth:`~repro.runtime.supervisor.
+:class:`ReshardPlanner` therefore watches each shard's ring fill
+fraction (:meth:`~repro.runtime.supervisor.
 ShardSupervisor.shard_fills`) and flags a shard only after its fill
 stays at or above the threshold for ``sustain`` *consecutive*
 observations; a cooldown after each decision keeps back-to-back splits
@@ -63,7 +63,7 @@ class ReshardPlanner:
     def observe(self, fills: dict[int, float]) -> int | None:
         """Consume one fill snapshot; return the shard to split, or
         ``None``. ``fills`` maps shard id → fill fraction; shards absent
-        from a snapshot (transport can't tell) have their streaks reset
+        from a snapshot (no live ring to read) have their streaks reset
         — a hot streak must be *observed* end to end."""
         num_shards = len(fills)
         for shard in list(self._streaks):

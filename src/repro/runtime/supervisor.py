@@ -1,7 +1,7 @@
 """Shard-worker supervision: spawn, feed, monitor, restart, re-feed.
 
 The supervisor owns the runtime's process tree. Per shard it keeps a
-:class:`WorkerHandle` — the live process, its transport channel
+:class:`WorkerHandle` — the live process, its data-plane channel
 (:class:`~repro.runtime.transport.ShardChannel`), and a *retention
 buffer* of every chunk sent but not yet acknowledged. The durability
 split is exact:
@@ -9,7 +9,7 @@ split is exact:
 - chunks the worker **acked** are in the worker's ingest WAL on disk —
   the supervisor drops its copy, and crash recovery replays them from
   the WAL (after restoring the newest checkpoint);
-- chunks **not yet acked** (queued, in flight, or lost with a dying
+- chunks **not yet acked** (in the ring, in flight, or lost with a dying
   process) stay retained here and are re-fed, in sequence order, to the
   restarted worker — which skips any it already made durable.
 
@@ -21,16 +21,13 @@ the retention buffer until it lands.
 
 Either way each chunk reaches the shard's scheme exactly once, in
 order, so the recovered shard is bit-identical to one that never
-crashed (tests/test_runtime.py kills workers with SIGKILL to prove it,
-on every transport).
+crashed (tests/test_runtime.py kills workers with SIGKILL to prove it).
 
 Worker death is detected by liveness polls woven into every wait loop —
 including blocked backpressure sends, so a crashed consumer can never
-wedge the producer. Each restart gets fresh transport resources
-(queues, shared-memory rings): a process killed mid-transfer can leave
-them unusable, and abandoning them sidesteps that entirely. Everything
-here is expressed against the transport protocol — the supervisor does
-not know whether bytes move by pickle or by memcpy.
+wedge the producer. Each restart gets a fresh shared-memory ring,
+doorbell and message queues: a process killed mid-transfer can leave
+them unusable, and abandoning them sidesteps that entirely.
 """
 
 from __future__ import annotations
@@ -47,12 +44,12 @@ import numpy.typing as npt
 from repro.errors import ConfigError, IngestError
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.runtime.partitioner import ShardMap, StreamPartitioner
-from repro.runtime.queues import DEFAULT_QUEUE_DEPTH  # noqa: F401  (re-export)
 from repro.runtime.transport import (
     BACKPRESSURE_POLICIES,
+    DEFAULT_RING_BYTES,
+    MIN_RING_BYTES,
     STALL_SLICE_SECONDS,
     ShardChannel,
-    Transport,
 )
 from repro.runtime.watchdog import (
     DEFAULT_JITTER_SEED,
@@ -153,7 +150,7 @@ class ShardSupervisor:
         self,
         specs: list[WorkerSpec],
         *,
-        transport: Transport,
+        ring_bytes: int = DEFAULT_RING_BYTES,
         backpressure: str = "block",
         registry: MetricsRegistry | None = None,
         max_restarts: int = 3,
@@ -171,9 +168,13 @@ class ShardSupervisor:
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
                 f"got {backpressure!r}"
             )
+        if ring_bytes < MIN_RING_BYTES:
+            raise IngestError(
+                f"ring_bytes must be >= {MIN_RING_BYTES}, got {ring_bytes}"
+            )
         self.metrics = resolve_registry(registry)
         self.backpressure = backpressure
-        self.transport = transport
+        self.ring_bytes = ring_bytes
         self.max_restarts = max_restarts
         # Restart discipline: per-shard token bucket + backoff + breaker.
         # The defaults (no refill, immediate first retry) reproduce the
@@ -213,8 +214,9 @@ class ShardSupervisor:
     def _make_handle(self, spec: WorkerSpec) -> WorkerHandle:
         return WorkerHandle(
             spec=spec,
-            channel=self.transport.channel(
+            channel=ShardChannel(
                 spec.shard_id,
+                ring_bytes=self.ring_bytes,
                 ctx=self._ctx,
                 policy=self.backpressure,
                 registry=self.metrics,
@@ -451,9 +453,9 @@ class ShardSupervisor:
         """Restart a dead worker and re-feed everything it lost."""
         shard = handle.spec.shard_id
         handle.process.join(timeout=1.0)
-        # A process killed mid-transfer can leave the transport resources
-        # unusable (a half-read pipe, a half-written ring) — abandon them
-        # all; _spawn builds fresh ones. The dead incarnation can also
+        # A process killed mid-transfer can leave the channel's resources
+        # unusable (a half-written ring, a half-read queue pipe) — abandon
+        # them all; _spawn builds fresh ones. The dead incarnation can also
         # have leaked artifacts (a checkpoint temp file, an orphaned shm
         # segment raced past abandon): sweep them while nothing runs.
         handle.channel.abandon()
@@ -846,9 +848,9 @@ class ShardSupervisor:
             handle.channel.sweep_orphans()
 
     def shard_fills(self) -> dict[int, float]:
-        """Data-plane occupancy per shard in ``[0, 1]`` — the
-        transport-neutral hot-shard signal the reshard planner watches.
-        Shards whose transport cannot tell are omitted."""
+        """Ring occupancy per shard in ``[0, 1]`` — the hot-shard signal
+        the reshard planner watches. A shard whose channel is abandoned
+        (mid-restart) is omitted."""
         fills: dict[int, float] = {}
         for i, handle in enumerate(self.handles):
             fill = handle.channel.data_fill()

@@ -226,7 +226,7 @@ class WatchdogConfig:
     """Escalation schedule for a silent worker.
 
     At ``hang_timeout`` seconds of message silence the worker is nudged
-    (one more transport wake-up, harmless to a live loop);
+    (one more doorbell release, harmless to a live loop);
     ``term_grace`` seconds later it gets SIGTERM; ``kill_grace`` seconds
     after that, SIGKILL — which lands in the supervisor's ordinary
     death-recovery path.
@@ -277,7 +277,7 @@ class Watchdog:
         self.metrics.gauge(f"runtime.shard{shard}.heartbeat_age").set(age)
         cfg = self.config
         if handle.hang_stage == 0 and age > cfg.hang_timeout:
-            # Stage 1: wake the worker through the transport — the last
+            # Stage 1: release the worker's doorbell once more — the last
             # step that costs no state before the signals.
             handle.channel.nudge()
             handle.hang_stage = 1

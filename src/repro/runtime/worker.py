@@ -2,10 +2,10 @@
 
 One worker owns one :class:`~repro.core.caesar.Caesar` instance and
 lives for the whole deployment: it consumes packet chunks from its
-bounded inbox, answers live queries from a control channel mid-ingest,
-and keeps enough durable state on disk — an *ingest* write-ahead log
-plus periodic checkpoints — that the supervisor can SIGKILL it at any
-instant and restart it bit-identically.
+shared-memory ring, answers live queries from a control channel
+mid-ingest, and keeps enough durable state on disk — an *ingest*
+write-ahead log plus periodic checkpoints — that the supervisor can
+SIGKILL it at any instant and restart it bit-identically.
 
 Durability protocol (per chunk, in order):
 
@@ -395,7 +395,8 @@ def worker_main(
     """Entry point of one shard worker process (module-level: picklable
     under any multiprocessing start method). ``transport`` is the
     worker-side endpoint the supervisor's channel built for this
-    incarnation — the loop is transport-agnostic. ``compute_gate`` is
+    incarnation: the ring to read chunks from, plus the control and
+    message queues. ``compute_gate`` is
     the supervisor's oversubscription guard (see :func:`_compute_slot`),
     or ``None`` when the core budget covers every worker."""
     # Shed any signal handlers inherited from the supervisor process
@@ -471,7 +472,7 @@ def worker_main(
                         # and boot discovers the file on disk anyway.
                         ckptr.close(tick=beat)
                     wal.close()
-                    transport.close()  # flushes outbound queues first
+                    transport.close()  # unmaps the ring
                     # Everything is durable and flushed; skip interpreter
                     # teardown (GC over the forked heap costs ~10ms per
                     # worker, serialized on small machines).

@@ -9,7 +9,7 @@ checkpoints"):
   capture time;
 * the runtime stays bit-identical to the offline ShardedCaesar —
   including with workers SIGKILLed *during* a background write
-  (``slow_ckpt_write`` fault) on both transports.
+  (``slow_ckpt_write`` fault).
 """
 
 import time
@@ -33,9 +33,6 @@ from repro.runtime.worker import (
     _prune_checkpoints,
     _save_checkpoint_atomic,
 )
-
-TRANSPORTS = ["queue", "shm"]
-
 
 def make_config():
     return CaesarConfig(
@@ -240,16 +237,14 @@ class TestSlowCkptFault:
 # -- runtime integration ------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestRuntimeCheckpoints:
-    def test_drain_matches_offline(self, tmp_path, stream, flows, transport):
+    def test_drain_matches_offline(self, tmp_path, stream, flows):
         config = make_config()
         base = offline_baseline(config, 2, stream)
         with StreamingRuntime(
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             checkpoint_every=2,
         ) as rt:
             rt.ingest_stream(stream, chunk_packets=1500)
@@ -261,7 +256,7 @@ class TestRuntimeCheckpoints:
                 rt.query(flows), base.estimate(flows, "csm", clip_negative=True)
             )
 
-    def test_sigkill_during_background_write(self, tmp_path, stream, transport):
+    def test_sigkill_during_background_write(self, tmp_path, stream):
         """Kill a worker while its writer thread is mid-write (the
         slow_ckpt_write fault holds the .tmp_ stage open): recovery must
         still be bit-identical, and the torn temp swept."""
@@ -272,7 +267,6 @@ class TestRuntimeCheckpoints:
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             checkpoint_every=2,
             worker_faults={1: FaultPlan(slow_ckpt_write=0.6)},
         ) as rt:
@@ -301,7 +295,6 @@ class TestRuntimeObservability:
             make_config(),
             2,
             state_dir=tmp_path,
-            transport="queue",
             checkpoint_every=2,
             registry=registry,
         ) as rt:

@@ -10,6 +10,7 @@ schema.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +22,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = REPO_ROOT / "benchmarks" / "bench_micro.py"
 BENCH_JSON = REPO_ROOT / "BENCH_micro.json"
+PERFBENCH_DIR = REPO_ROOT / "perfbench"
 
 #: stats fields pytest-benchmark guarantees per benchmark entry.
 REQUIRED_STATS = ("min", "max", "mean", "stddev", "median", "rounds")
@@ -96,11 +98,10 @@ class TestBenchResultsSchema:
             assert f"bench_caesar_drain_{stream}" in recorded, stream
 
     def test_runtime_transport_benches_recorded(self, results):
-        """Both transports' worker-scaling curves must be in the
-        artifact — 1/2/4 workers each over queues and shm rings."""
+        """The runtime's worker-scaling curve over the shared-memory
+        rings must be in the artifact — 1, 2 and 4 workers."""
         recorded = {entry["name"] for entry in results["benchmarks"]}
         for w in (1, 2, 4):
-            assert f"bench_runtime_ingest_{w}w" in recorded, w
             assert f"bench_runtime_ingest_{w}w_shm" in recorded, w
 
     def test_shm_workers_scale_forward(self, results):
@@ -203,3 +204,32 @@ class TestBenchSuiteRuns:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "failed" not in proc.stdout
+
+
+class TestPerfbenchHooks:
+    """The end-to-end benchmark reaches into the program by name: the
+    imports of ``perfbench/run.py`` and every attribute the tracer in
+    ``perfbench/spans.py`` wraps. A rename breaks them here first."""
+
+    def test_run_help_resolves_imports(self):
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH_DIR / "run.py"), "--help"],
+            env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_tracer_wraps_every_hook(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", PERFBENCH_DIR / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        try:
+            tracer.install(tmp_path)
+            wrapped = list(tracer._saved)
+        finally:
+            tracer.uninstall()
+        assert len(wrapped) == 24
+        for owner, attr, original in wrapped:
+            assert getattr(owner, attr) is original, attr

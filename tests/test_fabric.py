@@ -317,7 +317,7 @@ class TestVantageConfig:
             VantagePoint(
                 0,
                 make_config(tiny_trace),
-                runtime_options={"transport": "queue"},
+                runtime_options={"ring_bytes": 2048},
             )
 
 

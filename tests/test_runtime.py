@@ -1,13 +1,11 @@
 """Streaming runtime tests: bit-identity, crash recovery, backpressure.
 
 The contract under test (docs/runtime.md): a ``StreamingRuntime`` run —
-chunked ingest through a pluggable transport into ``W`` worker
-processes, with any number of workers SIGKILLed along the way —
+chunked ingest through one shared-memory ring per shard into ``W``
+worker processes, with any number of workers SIGKILLed along the way —
 finishes with per-shard states (estimates *and* checkpoint digests)
 bit-identical to a single-process ``ShardedCaesar.process`` of the same
-stream, on every construction engine and every transport. Transport-
-sensitive suites run twice: once over bounded pickled queues, once over
-the zero-copy shared-memory rings.
+stream, on every construction engine.
 """
 
 import dataclasses
@@ -28,15 +26,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.resilience.wal import WAL_MAGIC, WriteAheadLog, recover
 from repro.runtime import StreamPartitioner, chunk_stream
 from repro.runtime.client import StreamingRuntime
-from repro.runtime.queues import QueueTransport
-from repro.runtime.shm import (
+from repro.runtime.transport import (
     CTRL_BYTES,
     KIND_CHUNK,
     RingConsumer,
     RingProducer,
-    SharedMemoryRingTransport,
+    ShardChannel,
 )
-from repro.runtime.transport import resolve_transport
 from repro.runtime.worker import (
     WorkerSpec,
     append_ingest_chunk,
@@ -44,9 +40,6 @@ from repro.runtime.worker import (
     decode_ingest_record,
 )
 from tests.conftest import wait_until
-
-TRANSPORTS = ["queue", "shm"]
-
 
 def make_config(engine="batched", seed=5):
     return CaesarConfig(
@@ -59,12 +52,9 @@ def make_config(engine="batched", seed=5):
     )
 
 
-def tiny_transport(name):
-    """A transport whose data plane fills after ~2 hundred-packet chunks
-    (the backpressure tests freeze the consumer and need a fast fill)."""
-    if name == "queue":
-        return QueueTransport(queue_depth=1)
-    return SharedMemoryRingTransport(ring_bytes=2048)
+#: A ring that fills after ~2 hundred-packet chunks (the backpressure
+#: tests freeze the consumer and need a fast fill).
+TINY_RING_BYTES = 2048
 
 
 def weighted_config(config):
@@ -322,13 +312,12 @@ class TestIngestWal:
             recover(Caesar(make_config()).checkpoint(), path)
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("engine", ["batched", "scalar"])
 class TestBitIdentity:
-    def test_runtime_matches_offline(self, tmp_path, stream, flows, engine, transport):
+    def test_runtime_matches_offline(self, tmp_path, stream, flows, engine):
         config = make_config(engine)
         base = offline_baseline(config, 2, stream)
-        with StreamingRuntime(config, 2, state_dir=tmp_path, transport=transport) as rt:
+        with StreamingRuntime(config, 2, state_dir=tmp_path) as rt:
             rt.ingest_stream(stream, chunk_packets=1500)
             result = rt.drain()
             assert result.num_packets == len(stream)
@@ -336,20 +325,17 @@ class TestBitIdentity:
             assert_matches_offline(result, rt, base, flows)
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestRecovery:
     @pytest.mark.parametrize("weighted", [False, True], ids=["packets", "bytes"])
     def test_sigkill_mid_stream_recovers_bit_identically(
-        self, tmp_path, stream, byte_lengths, flows, transport, weighted
+        self, tmp_path, stream, byte_lengths, flows, weighted
     ):
         config = weighted_config(make_config()) if weighted else make_config()
         lengths = byte_lengths if weighted else None
         base = offline_baseline(config, 2, stream, lengths)
         chunks = np.array_split(stream, 12)
         chunk_lengths = np.array_split(byte_lengths, 12) if weighted else [None] * 12
-        with StreamingRuntime(
-            config, 2, state_dir=tmp_path, transport=transport, checkpoint_every=2
-        ) as rt:
+        with StreamingRuntime(config, 2, state_dir=tmp_path, checkpoint_every=2) as rt:
             for i, (chunk, lens) in enumerate(zip(chunks, chunk_lengths)):
                 if i == 7:
                     rt.kill_worker(1)
@@ -361,7 +347,7 @@ class TestRecovery:
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["packets", "bytes"])
     def test_recovery_without_checkpoints_replays_wal(
-        self, tmp_path, stream, byte_lengths, flows, transport, weighted
+        self, tmp_path, stream, byte_lengths, flows, weighted
     ):
         """checkpoint_every=0: the restarted worker rebuilds purely from
         ingest-WAL replay plus supervisor re-feed."""
@@ -370,9 +356,7 @@ class TestRecovery:
         base = offline_baseline(config, 2, stream, lengths)
         chunks = np.array_split(stream, 8)
         chunk_lengths = np.array_split(byte_lengths, 8) if weighted else [None] * 8
-        with StreamingRuntime(
-            config, 2, state_dir=tmp_path, transport=transport, checkpoint_every=0
-        ) as rt:
+        with StreamingRuntime(config, 2, state_dir=tmp_path, checkpoint_every=0) as rt:
             for i, (chunk, lens) in enumerate(zip(chunks, chunk_lengths)):
                 if i == 5:
                     rt.kill_worker(0)
@@ -381,13 +365,11 @@ class TestRecovery:
             assert result.restarts == 1
             assert_matches_offline(result, rt, base, flows)
 
-    def test_pending_query_survives_worker_death(
-        self, tmp_path, stream, flows, transport
-    ):
+    def test_pending_query_survives_worker_death(self, tmp_path, stream, flows):
         """A query outstanding when its worker dies is re-sent to the
         restarted worker and still answered."""
         config = make_config()
-        with StreamingRuntime(config, 1, state_dir=tmp_path, transport=transport) as rt:
+        with StreamingRuntime(config, 1, state_dir=tmp_path) as rt:
             rt.ingest(stream[:4000])
             rt.supervisor.ask(0, 999, flows[:4], "csm")
             rt.kill_worker(0)
@@ -395,11 +377,9 @@ class TestRecovery:
             assert est.shape == (4,)
             assert rt.restarts == 1
 
-    def test_restart_budget_exhaustion_raises(self, tmp_path, stream, transport):
+    def test_restart_budget_exhaustion_raises(self, tmp_path, stream):
         config = make_config()
-        with StreamingRuntime(
-            config, 1, state_dir=tmp_path, transport=transport, max_restarts=0
-        ) as rt:
+        with StreamingRuntime(config, 1, state_dir=tmp_path, max_restarts=0) as rt:
             rt.ingest(stream[:2000])
             rt.kill_worker(0)
 
@@ -414,24 +394,23 @@ class TestRecovery:
                 wait_until(poke, desc="restart-budget exhaustion")
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestBackpressure:
-    def _stalled_runtime(self, tmp_path, transport, policy, registry=None):
+    def _stalled_runtime(self, tmp_path, policy, registry=None):
         rt = StreamingRuntime(
             make_config(),
             1,
             state_dir=tmp_path,
-            transport=tiny_transport(transport),
+            ring_bytes=TINY_RING_BYTES,
             backpressure=policy,
             registry=registry,
         ).start()
-        # Freeze the consumer: the bounded data plane must now fill.
+        # Freeze the consumer: the ring must now fill.
         rt.kill_worker(0, signal.SIGSTOP)
         return rt
 
-    def test_shed_drops_and_counts(self, tmp_path, stream, transport):
+    def test_shed_drops_and_counts(self, tmp_path, stream):
         registry = MetricsRegistry()
-        rt = self._stalled_runtime(tmp_path, transport, "shed", registry)
+        rt = self._stalled_runtime(tmp_path, "shed", registry)
         try:
             accepted = sum(rt.ingest(stream[:100]) for _ in range(10))
             assert accepted < 10 * 100
@@ -444,8 +423,8 @@ class TestBackpressure:
             rt.kill_worker(0, signal.SIGCONT)
             rt.shutdown()
 
-    def test_error_policy_raises_on_full_channel(self, tmp_path, stream, transport):
-        rt = self._stalled_runtime(tmp_path, transport, "error")
+    def test_error_policy_raises_on_full_channel(self, tmp_path, stream):
+        rt = self._stalled_runtime(tmp_path, "error")
         try:
             with pytest.raises(IngestError, match="is full"):
                 for _ in range(10):
@@ -454,13 +433,13 @@ class TestBackpressure:
             rt.kill_worker(0, signal.SIGCONT)
             rt.shutdown()
 
-    def test_block_policy_records_stalls(self, tmp_path, stream, transport):
+    def test_block_policy_records_stalls(self, tmp_path, stream):
         registry = MetricsRegistry()
         rt = StreamingRuntime(
             make_config(),
             1,
             state_dir=tmp_path,
-            transport=tiny_transport(transport),
+            ring_bytes=TINY_RING_BYTES,
             backpressure="block",
             registry=registry,
         ).start()
@@ -493,15 +472,9 @@ class TestBackpressure:
         finally:
             rt.shutdown()
 
-    def test_rejects_unknown_policy(self, tmp_path, transport):
+    def test_rejects_unknown_policy(self, tmp_path):
         with pytest.raises(ConfigError):
-            StreamingRuntime(
-                make_config(),
-                1,
-                state_dir=tmp_path,
-                transport=transport,
-                backpressure="bogus",
-            )
+            StreamingRuntime(make_config(), 1, state_dir=tmp_path, backpressure="bogus")
 
 
 class TestShmRing:
@@ -561,12 +534,7 @@ class TestShmTransport:
         FLAG_MORE fragments and the result stays bit-identical."""
         config = make_config()
         base = offline_baseline(config, 2, stream)
-        with StreamingRuntime(
-            config,
-            2,
-            state_dir=tmp_path,
-            transport=SharedMemoryRingTransport(ring_bytes=4096),
-        ) as rt:
+        with StreamingRuntime(config, 2, state_dir=tmp_path, ring_bytes=4096) as rt:
             rt.ingest(stream)  # one 12k-packet chunk ≈ 96 KiB >> 4 KiB ring
             result = rt.drain()
             assert result.num_packets == len(stream)
@@ -578,7 +546,7 @@ class TestShmTransport:
             make_config(),
             1,
             state_dir=tmp_path,
-            transport=SharedMemoryRingTransport(ring_bytes=2048),
+            ring_bytes=2048,
             backpressure="shed",
             registry=registry,
         ) as rt:
@@ -591,7 +559,7 @@ class TestShmTransport:
             make_config(),
             1,
             state_dir=tmp_path,
-            transport=SharedMemoryRingTransport(ring_bytes=2048),
+            ring_bytes=2048,
             backpressure="error",
         ) as rt:
             with pytest.raises(IngestError, match="record cap"):
@@ -600,9 +568,7 @@ class TestShmTransport:
     def test_segments_unlinked_after_shutdown(self, tmp_path, stream):
         from multiprocessing import shared_memory
 
-        with StreamingRuntime(
-            make_config(), 2, state_dir=tmp_path, transport="shm"
-        ) as rt:
+        with StreamingRuntime(make_config(), 2, state_dir=tmp_path) as rt:
             rt.ingest(stream[:2000])
             names = [h.channel.segment_name for h in rt.supervisor.handles]
             assert all(names)
@@ -614,9 +580,7 @@ class TestShmTransport:
     def test_crash_restart_swaps_and_unlinks_segment(self, tmp_path, stream):
         from multiprocessing import shared_memory
 
-        with StreamingRuntime(
-            make_config(), 1, state_dir=tmp_path, transport="shm"
-        ) as rt:
+        with StreamingRuntime(make_config(), 1, state_dir=tmp_path) as rt:
             rt.ingest(stream[:2000])
             old = rt.supervisor.handles[0].channel.segment_name
             rt.kill_worker(0)
@@ -639,7 +603,6 @@ class TestShmTransport:
             make_config(),
             2,
             state_dir=tmp_path,
-            transport="shm",
             ack_every=5,
             checkpoint_every=0,
         ) as rt:
@@ -648,30 +611,15 @@ class TestShmTransport:
             rt.supervisor.pump()
             assert all(not h.retained for h in rt.supervisor.handles)
 
-
-class TestTransportSelection:
-    def test_rejects_unknown_transport(self, tmp_path):
-        with pytest.raises(ConfigError, match="transport"):
-            StreamingRuntime(make_config(), 1, state_dir=tmp_path, transport="bogus")
-
-    def test_resolve_passes_instances_through(self):
-        t = QueueTransport(queue_depth=3)
-        assert resolve_transport(t) is t
-
-    def test_queue_depth_must_be_positive(self):
-        with pytest.raises(IngestError, match="queue_depth"):
-            QueueTransport(queue_depth=0)
-
-    def test_ring_bytes_must_be_sane(self):
+    def test_ring_bytes_must_be_sane(self, tmp_path):
         with pytest.raises(IngestError, match="ring_bytes"):
-            SharedMemoryRingTransport(ring_bytes=16)
+            StreamingRuntime(make_config(), 1, state_dir=tmp_path, ring_bytes=16)
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestChannelAcrossRestarts:
-    def test_recv_on_abandoned_channel_returns_none(self, transport):
-        channel = resolve_transport(transport).channel(
-            0, ctx=mp.get_context(), policy="block", registry=MetricsRegistry()
+    def test_recv_on_abandoned_channel_returns_none(self):
+        channel = ShardChannel(
+            0, ring_bytes=2048, ctx=mp.get_context(), registry=MetricsRegistry()
         )
         channel.open()
         channel.abandon()
@@ -679,16 +627,12 @@ class TestChannelAcrossRestarts:
         assert channel.recv(0.01) is None
         channel.close()
 
-    def test_marker_blocked_across_a_restart_is_delivered_once(self, transport):
+    def test_marker_blocked_across_a_restart_is_delivered_once(self):
         """A drain stalled on a full channel whose worker is restarted
         from the stall hook must not be sent again on the fresh channel:
         the restart re-sends pending markers itself (as the supervisor's
         restart does), and a second drain makes the worker finalize and
         write its final checkpoint twice."""
-        if transport == "queue":
-            factory = QueueTransport(queue_depth=2)
-        else:
-            factory = SharedMemoryRingTransport(ring_bytes=2048)
         fresh = []
 
         def restart_once() -> None:
@@ -697,8 +641,9 @@ class TestChannelAcrossRestarts:
                 fresh.append(channel.open())
                 channel.send_drain()
 
-        channel = factory.channel(
+        channel = ShardChannel(
             0,
+            ring_bytes=2048,
             ctx=mp.get_context(),
             policy="block",
             registry=MetricsRegistry(),
@@ -723,21 +668,18 @@ class TestChannelAcrossRestarts:
             channel.close()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestWakeOnArrival:
     """Control messages wake the worker loop; nothing waits out a poll."""
 
     def test_idle_worker_wakes_for_queries_and_stop(
-        self, tmp_path, stream, flows, transport, monkeypatch
+        self, tmp_path, stream, flows, monkeypatch
     ):
         """With the idle data wait stretched to 30 s, a query before
         ingest, one after drain, and the stop at shutdown are all
         answered at once rather than after the poll runs out."""
         # Set before start(): the forked workers inherit it.
         monkeypatch.setattr("repro.runtime.worker.POLL_SECONDS", 30.0)
-        rt = StreamingRuntime(
-            make_config(), 2, state_dir=tmp_path, transport=transport, hang_timeout=None
-        )
+        rt = StreamingRuntime(make_config(), 2, state_dir=tmp_path, hang_timeout=None)
         rt.start()
         processes = [h.process for h in rt.supervisor.handles]
         try:
@@ -754,14 +696,11 @@ class TestWakeOnArrival:
         assert [p.exitcode for p in processes] == [0, 0]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestLiveQueries:
-    def test_queries_mid_ingest_then_exact_after_drain(
-        self, tmp_path, stream, flows, transport
-    ):
+    def test_queries_mid_ingest_then_exact_after_drain(self, tmp_path, stream, flows):
         config = make_config()
         base = offline_baseline(config, 2, stream)
-        with StreamingRuntime(config, 2, state_dir=tmp_path, transport=transport) as rt:
+        with StreamingRuntime(config, 2, state_dir=tmp_path) as rt:
             rt.ingest(stream[:6000])
             live = rt.query(flows[:32])
             assert live.shape == (32,)
@@ -806,14 +745,12 @@ class TestLifecycle:
 class TestMeasureIntegration:
     """api.measure(stream=..., workers=...) rides the runtime."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_measure_stream_workers(self, stream, flows, transport):
+    def test_measure_stream_workers(self, stream, flows):
         import repro
 
         result = repro.measure(
             stream=stream,
             workers=2,
-            transport=transport,
             sram_kb=4,
             cache_kb=2,
             chunk_packets=2000,
@@ -836,15 +773,3 @@ class TestMeasureIntegration:
 
         with pytest.raises(ConfigError, match="expected_packets"):
             repro.measure(stream=iter([stream]), sram_kb=1, cache_kb=1)
-
-    def test_measure_transport_requires_workers(self, stream):
-        import repro
-
-        with pytest.raises(ConfigError, match="workers"):
-            repro.measure(stream=stream, transport="shm", sram_kb=1, cache_kb=1)
-
-    def test_measure_transport_requires_stream(self, stream):
-        import repro
-
-        with pytest.raises(ConfigError, match="stream="):
-            repro.measure(stream[:100], transport="shm", sram_kb=1, cache_kb=1)

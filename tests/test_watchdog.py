@@ -46,9 +46,6 @@ from repro.runtime.watchdog import (
 )
 from tests.conftest import wait_until
 
-TRANSPORTS = ["queue", "shm"]
-
-
 def make_config(seed=5):
     return CaesarConfig(
         cache_entries=64,
@@ -276,11 +273,8 @@ class TestPartialEstimate:
 # -- hang detection + recovery (process-level chaos) --------------------------
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestHangRecovery:
-    def test_sigstop_worker_is_detected_killed_and_recovered(
-        self, tmp_path, stream, flows, transport
-    ):
+    def test_sigstop_worker_is_detected_killed_and_recovered(self, tmp_path, stream, flows):
         """SIGSTOP (a hang the process-liveness poll cannot see) on one
         worker mid-ingest: the watchdog walks nudge → SIGTERM → SIGKILL,
         the ordinary recovery path repairs the shard, and the drained
@@ -293,7 +287,6 @@ class TestHangRecovery:
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             registry=registry,
             hang_timeout=0.8,
             max_restarts=5,
@@ -324,9 +317,7 @@ class TestHangRecovery:
                 rt.query(flows), base.estimate(flows, "csm", clip_negative=True)
             )
 
-    def test_sigstop_at_drain_time_is_recovered(
-        self, tmp_path, stream, flows, transport
-    ):
+    def test_sigstop_at_drain_time_is_recovered(self, tmp_path, stream, flows):
         """A worker stopped just before drain: the watchdog must stay
         armed through the drain wait, or wait_finalized spins out."""
         config = make_config()
@@ -335,7 +326,6 @@ class TestHangRecovery:
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             hang_timeout=0.8,
             max_restarts=5,
             restart_refill_per_s=5.0,
@@ -351,11 +341,8 @@ class TestHangRecovery:
 # -- poison chunks -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestPoisonChunk:
-    def test_quarantine_keeps_ingesting_and_accounts_mass(
-        self, tmp_path, stream, flows, transport
-    ):
+    def test_quarantine_keeps_ingesting_and_accounts_mass(self, tmp_path, stream, flows):
         """A chunk that crashes its worker on every attempt is blamed,
         quarantined after N attributed crashes, and the runtime keeps
         ingesting; queries report reduced coverage and the drained state
@@ -367,7 +354,6 @@ class TestPoisonChunk:
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             registry=registry,
             worker_faults={0: FaultPlan(crash_on_seq=2, crash_limit=0)},
             quarantine_after=2,
@@ -422,7 +408,7 @@ class TestPoisonChunk:
         offline_digests = tuple(s.checkpoint().digest for s in offline.shards)
         assert result.shard_digests == offline_digests
 
-    def test_crash_limit_bounds_the_fault(self, tmp_path, stream, flows, transport):
+    def test_crash_limit_bounds_the_fault(self, tmp_path, stream, flows):
         """crash_limit=1: one injected crash, ordinary recovery, nothing
         quarantined — the no-fault contract still holds end to end."""
         config = make_config()
@@ -431,7 +417,6 @@ class TestPoisonChunk:
             config,
             2,
             state_dir=tmp_path,
-            transport=transport,
             worker_faults={0: FaultPlan(crash_on_seq=1, crash_limit=1)},
             quarantine_after=3,
             max_restarts=5,
@@ -462,7 +447,6 @@ class TestPartialQueries:
             make_config(),
             2,
             state_dir=tmp_path,
-            transport="queue",
             max_restarts=0,
             restart_refill_per_s=0.02,  # 50s/token: down for the test
             query_deadline=5.0,
@@ -488,9 +472,7 @@ class TestPartialQueries:
             assert np.isnan(plain[owners == 0]).all()
 
     def test_clean_runtime_reports_full_coverage(self, tmp_path, stream, flows):
-        with StreamingRuntime(
-            make_config(), 2, state_dir=tmp_path, transport="queue"
-        ) as rt:
+        with StreamingRuntime(make_config(), 2, state_dir=tmp_path) as rt:
             rt.ingest_stream(stream, chunk_packets=1500)
             detail = rt.query(flows[:16], detail=True)
             assert not detail.degraded
@@ -503,16 +485,10 @@ class TestPartialQueries:
 
 class TestOrphanSweeping:
     def test_restart_and_drain_sweep_planted_artifacts(self, tmp_path, stream):
-        """Plant a stale checkpoint temp file and (shm) an orphaned
+        """Plant a stale checkpoint temp file and an orphaned ring
         segment under the shard's namespace: both the restart path and
         the post-drain sweep must reclaim them."""
-        with StreamingRuntime(
-            make_config(),
-            2,
-            state_dir=tmp_path,
-            transport="shm",
-            max_restarts=3,
-        ) as rt:
+        with StreamingRuntime(make_config(), 2, state_dir=tmp_path, max_restarts=3) as rt:
             rt.ingest_stream(stream[:4000], chunk_packets=1000)
             shard_dir = tmp_path / "shard0"
             planted_tmp = shard_dir / ".tmp_ck_000001.npz"
@@ -539,16 +515,16 @@ class TestOrphanSweeping:
     def test_shm_channel_namespaces_are_disjoint(self, tmp_path):
         """Two runtimes over the same shard ids must never sweep each
         other's segments: the per-channel namespace prefix is unique."""
-        from repro.runtime.shm import SharedMemoryRingTransport
-
-        reg = MetricsRegistry()
-        t1 = SharedMemoryRingTransport()
-        t2 = SharedMemoryRingTransport()
         import multiprocessing as mp
 
+        from repro.runtime.transport import DEFAULT_RING_BYTES, ShardChannel
+
+        reg = MetricsRegistry()
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        c1 = t1.channel(0, ctx=ctx, policy="block", registry=reg)
-        c2 = t2.channel(0, ctx=ctx, policy="block", registry=reg)
+        c1, c2 = (
+            ShardChannel(0, ring_bytes=DEFAULT_RING_BYTES, ctx=ctx, registry=reg)
+            for _ in range(2)
+        )
         assert c1.segment_prefix != c2.segment_prefix
         c1.close()
         c2.close()
