@@ -13,7 +13,8 @@
  * packet unprocessed: run again, it misses and finds the freed room.
  * The Python side (repro/cachesim/kernel.py) documents the state
  * layout; the scalar FlowCache.access path is the reference.
- * fc_rows reuses the table's index for the drain's flow -> row memo.
+ * fc_rows reuses the table's index for the drain's flow -> row memo,
+ * and fc_land lands a whole drained chunk on the SRAM through it.
  * fr_pairs and fr_route are the multi-vantage fabric's router; they
  * share nothing with the cache table.
  */
@@ -24,6 +25,8 @@
 #define OVERFLOW_CODE 0
 #define REPLACEMENT_CODE 1
 #define GOLDEN 0x9E3779B97F4A7C15ULL
+#define SM_M1 0xBF58476D1CE4E5B9ULL
+#define SM_M2 0x94D049BB133111EBULL
 
 typedef struct {
     int64_t num_entries;            /* M */
@@ -55,6 +58,15 @@ typedef struct {
     uint8_t *out_reasons;
     int64_t out_len, out_cap;
 } Chunk;
+
+/* The hash of HashFamily (repro/hashing/mix.py): h_r(x) = splitmix64(seeds[r] ^ x). */
+static inline uint64_t splitmix64(uint64_t x)
+{
+    x += GOLDEN;
+    x = (x ^ (x >> 30)) * SM_M1;
+    x = (x ^ (x >> 27)) * SM_M2;
+    return x ^ (x >> 31);
+}
 
 static inline int64_t home(const Table *t, uint64_t id)
 {
@@ -329,6 +341,87 @@ void fc_rows(Table *t, const uint64_t *ids, int64_t n, int64_t *rows)
     }
 }
 
+/* The batched drain's land (paper Section 3.1; Caesar._drain in
+ * repro/core/caesar.py is the caller). Each row's value v = p*k + q
+ * adds p to each of its flow's k counters and one unit per remainder
+ * slot: the next q slots of the caller's draw when random, else the
+ * first q counters. A flow the memo appends gets bank r's counter
+ * r * bank_size + splitmix64(seeds[r] ^ id) % bank_size, the formula
+ * of BankedIndexer.indices. */
+typedef struct {
+    int64_t k;
+    int64_t bank_size;
+    const uint64_t *seeds;          /* [k] bank hash seeds; NULL: every id is memoized */
+    int64_t *indices;               /* [memo capacity * k] each memo row's counters */
+    int64_t *counters;              /* [k * bank_size] the SRAM */
+    int64_t capacity;               /* counter ceiling */
+    const uint64_t *ids;            /* [n] the chunk's flows */
+    const int64_t *values;          /* [n] their evicted values, all >= 0 */
+    int64_t n;
+    int64_t random;                 /* 1: remainder units go to slots, 0: to the first q */
+    const int64_t *slots;           /* random: every row's remainder slots, in draw order */
+    int64_t clipped;                /* out: mass the ceiling discarded */
+} Land;
+
+/* Add as numpy's int64 add does: wrapping, never signed overflow. */
+static inline int64_t add_wrapping(int64_t *c, uint64_t amount)
+{
+    return *c = (int64_t)((uint64_t)*c + amount);
+}
+
+/* Land the chunk: find or append each row's flow in the memo, in
+ * first-occurrence order as fc_rows does (the caller reserved room for
+ * n more), and add its parts. Then, as BankedCounterArray.add_at does,
+ * every counter the chunk touched that ends above the ceiling is
+ * clipped once and its excess summed into clipped; a zero part counts
+ * as a touch. Returns 0, or -1 if seeds is NULL and an id is not
+ * memoized. */
+int64_t fc_land(Table *memo, Land *l)
+{
+    const int64_t k = l->k, n = l->n, cap = l->capacity;
+    int64_t *const counters = l->counters;
+    const int64_t *slot = l->random ? l->slots : NULL;
+    int64_t over = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t id = l->ids[i];
+        int64_t s = find(memo, id);
+        if (s == NIL) {
+            if (!l->seeds)
+                return -1;
+            s = memo->size++;
+            memo->ids[s] = id;
+            index_put(memo, id, s);
+            int64_t *fresh = l->indices + s * k;
+            for (int64_t r = 0; r < k; r++)
+                fresh[r] = r * l->bank_size
+                           + (int64_t)(splitmix64(l->seeds[r] ^ id) % (uint64_t)l->bank_size);
+        }
+        const int64_t *row = l->indices + s * k;
+        const uint64_t v = (uint64_t)l->values[i];
+        const uint64_t part = v / (uint64_t)k, q = v % (uint64_t)k;
+        for (int64_t r = 0; r < k; r++)
+            over |= add_wrapping(&counters[row[r]], part + (!slot && (uint64_t)r < q)) > cap;
+        if (slot)
+            for (uint64_t j = 0; j < q; j++)
+                over |= add_wrapping(&counters[row[*slot++]], 1) > cap;
+    }
+    uint64_t clipped = 0;
+    /* A counter's last add is followed by a check, so no flag means no
+     * counter ends above the ceiling. */
+    for (int64_t i = 0; over && i < n; i++) {
+        const int64_t *row = l->indices + find(memo, l->ids[i]) * k;
+        for (int64_t r = 0; r < k; r++) {
+            int64_t *c = &counters[row[r]];
+            if (*c > cap) {
+                clipped += (uint64_t)*c - (uint64_t)cap;
+                *c = cap;
+            }
+        }
+    }
+    l->clipped = (int64_t)clipped;
+    return 0;
+}
+
 /* Inverse of fc_load: entries in insertion order, then the policy order. */
 void fc_export(const Table *t, uint64_t *ids, int64_t *counts, uint64_t *policy_order)
 {
@@ -353,8 +446,6 @@ void fc_export(const Table *t, uint64_t *ids, int64_t *counts, uint64_t *policy_
  * a CSR table. Every node on the route observes the packet, unless the
  * node samples and the packet's global index fails its test. */
 
-#define SM_M1 0xBF58476D1CE4E5B9ULL
-#define SM_M2 0x94D049BB133111EBULL
 /* A sample limit of 2^53 keeps every packet, with no hash. */
 #define KEEP_ALL (1ULL << 53)
 
@@ -364,14 +455,6 @@ typedef struct {
     const int64_t *route_start;     /* [pairs + 1] pair p's nodes are */
     const int64_t *route_nodes;     /* route_nodes[route_start[p], route_start[p + 1]) */
 } Routes;
-
-static inline uint64_t splitmix64(uint64_t x)
-{
-    x += GOLDEN;
-    x = (x ^ (x >> 30)) * SM_M1;
-    x = (x ^ (x >> 27)) * SM_M2;
-    return x ^ (x >> 31);
-}
 
 /* Each of the n ids' attachment pair, ingress * num_exits + egress.
  * With counts (one per pair, zeroed by the caller), also how many of

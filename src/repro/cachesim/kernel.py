@@ -26,7 +26,10 @@ path (``tests/test_cachesim_runs.py`` pins that).
 the batched drain's flow → row memo
 (:class:`~repro.hashing.family.BankedIndexMemo`): ``fc_rows`` resolves
 a drained chunk's flow ids to rows and appends unseen ids in
-first-occurrence order.
+first-occurrence order, and ``fc_land`` does the same while it adds
+every row's split value to the flow's counters, hashing each appended
+flow's counters with a copy of the
+:class:`~repro.hashing.family.BankedIndexer` formula.
 
 :class:`RouteTable` is the multi-vantage fabric's router
 (:mod:`repro.fabric.topology`): ``fr_pairs`` hashes flows to their
@@ -108,6 +111,26 @@ class _Chunk(ctypes.Structure):
     ]
 
 
+class _Land(ctypes.Structure):
+    """Mirror of the C ``Land``: one drained chunk, the memo's counter
+    rows, the SRAM, and the clipped mass out."""
+
+    _fields_ = [
+        ("k", _I64),
+        ("bank_size", _I64),
+        ("seeds", _PTR),
+        ("indices", _PTR),
+        ("counters", _PTR),
+        ("capacity", _I64),
+        ("ids", _PTR),
+        ("values", _PTR),
+        ("n", _I64),
+        ("random", _I64),
+        ("slots", _PTR),
+        ("clipped", _I64),
+    ]
+
+
 class _Routes(ctypes.Structure):
     """Mirror of the C ``Routes``: attachment hashes and the CSR route table."""
 
@@ -185,6 +208,8 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
     lib.fc_export.restype = None
     lib.fc_rows.argtypes = (table, _PTR, _I64, _PTR)
     lib.fc_rows.restype = None
+    lib.fc_land.argtypes = (table, ctypes.POINTER(_Land))
+    lib.fc_land.restype = _I64
     routes = ctypes.POINTER(_Routes)
     lib.fr_pairs.argtypes = (routes, _PTR, _I64, _PTR, _PTR)
     lib.fr_pairs.restype = None
@@ -378,6 +403,8 @@ class MemoIndex:
         _require_kernel("the batched index memo")
         self._state = _Table()
         self._state_ref = ctypes.pointer(self._state)
+        self._land = _Land()
+        self._land_ref = ctypes.pointer(self._land)
         self._ids = np.empty(0, dtype=np.uint64)
         self._reindex(capacity)
 
@@ -388,11 +415,8 @@ class MemoIndex:
         """The ids in row order (a view)."""
         return self._ids[: self._state.size]
 
-    def rows(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
-        """Each id's row, appending unseen ids in first-occurrence order."""
-        flow_ids = np.ascontiguousarray(flow_ids, dtype=np.uint64)
-        n = len(flow_ids)
-        # Room for every id being new, so the kernel never has to stop.
+    def reserve(self, n: int) -> None:
+        """Room for ``n`` more ids, so a kernel call never has to stop."""
         needed = self._state.size + n
         if needed > len(self._ids):
             if needed > MAX_MEMO_FLOWS:
@@ -403,9 +427,62 @@ class MemoIndex:
             while capacity < needed:
                 capacity *= 2
             self._reindex(capacity)
+
+    def rows(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
+        """Each id's row, appending unseen ids in first-occurrence order."""
+        flow_ids = np.ascontiguousarray(flow_ids, dtype=np.uint64)
+        n = len(flow_ids)
+        self.reserve(n)
         rows = np.empty(n, dtype=np.int64)
         _LIB.fc_rows(self._state_ref, flow_ids.ctypes.data, n, rows.ctypes.data)
         return rows
+
+    def land(
+        self,
+        indices: npt.NDArray[np.int64],
+        seeds: npt.NDArray[np.uint64] | None,
+        bank_size: int,
+        flow_ids: npt.NDArray[np.uint64],
+        values: npt.NDArray[np.int64],
+        slots: npt.NDArray[np.int64] | None,
+        counters: npt.NDArray[np.int64],
+        capacity: int,
+    ) -> int:
+        """Add each row's value, split over its flow's ``k`` counters,
+        to ``counters``; returns the mass clipped at ``capacity``.
+
+        Row ``i``'s flow is found or appended as :meth:`rows` does, and
+        ``indices`` (shape ``(rows, k)``) holds each memo row's
+        counters: an appended flow's come from ``seeds`` and
+        ``bank_size``, so ``indices`` needs a row for every id being
+        new. With ``seeds=None`` every id must already be here. A value
+        ``p * k + q`` adds ``p`` to each counter and one unit per
+        remainder slot: the next ``q`` of ``slots`` (every row's, in
+        draw order), or the first ``q`` counters when ``slots`` is
+        None. Values must be ``>= 0``, and every index in ``indices``
+        must be inside ``counters``.
+        """
+        flow_ids = np.ascontiguousarray(flow_ids, dtype=np.uint64)
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        if seeds is not None:
+            self.reserve(len(flow_ids))
+            if len(indices) < self._state.size + len(flow_ids):
+                raise ValueError("indices needs a row for every id being new")
+        land = self._land
+        land.k = indices.shape[1]
+        land.bank_size = bank_size
+        land.seeds = _address(seeds)
+        land.indices = indices.ctypes.data
+        land.counters = counters.ctypes.data
+        land.capacity = capacity
+        land.ids = flow_ids.ctypes.data
+        land.values = values.ctypes.data
+        land.n = len(flow_ids)
+        land.random = slots is not None
+        land.slots = _address(slots)
+        if _LIB.fc_land(self._state_ref, self._land_ref):
+            raise RuntimeError("fc_land met a flow the index memo does not hold")
+        return land.clipped
 
     def _reindex(self, capacity: int) -> None:
         """Reallocate for ``capacity`` ids and index the held ones again."""

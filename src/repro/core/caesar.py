@@ -16,17 +16,19 @@ Two construction engines implement the same dataflow:
 - ``engine="batched"`` (default) — the compiled cache kernel
   (:mod:`repro.cachesim.kernel`) streams evictions through a
   preallocated :class:`~repro.cachesim.EvictionBuffer`; each drained
-  chunk is resolved to counter indices by the array-backed
-  :class:`~repro.hashing.family.BankedIndexMemo`, split in one
-  vectorized :func:`~repro.core.split.split_batch` call, and landed
-  with a single scatter-add;
+  chunk lands on the SRAM in one more kernel call
+  (:meth:`~repro.sram.BankedCounterArray.land`), which memoizes the
+  chunk's new flows in the array-backed
+  :class:`~repro.hashing.family.BankedIndexMemo`, splits every value
+  over its flow's k counters and adds the parts with saturation;
 - ``engine="scalar"`` — the per-eviction callback reference path.
 
 Both are *bit-identical* under a fixed seed: the kernel replays exactly
-the per-packet semantics and the batched splitter consumes the
-generator exactly like the scalar loop, so evictions, counters,
-statistics, and generator state all match (enforced by
-``tests/test_engine_equivalence.py``).
+the per-packet semantics, and the drain draws each chunk's remainder
+slots in one block exactly as the scalar loop draws them one eviction
+at a time, so evictions, counters, statistics, and generator state all
+match (enforced by ``tests/test_engine_equivalence.py``; the land is
+pinned to its numpy reference by ``tests/test_land.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ from repro.cachesim.cache import FlowCache
 from repro.core import csm as csm_mod
 from repro.core import mlm as mlm_mod
 from repro.core.config import CaesarConfig
-from repro.core.split import split_batch, split_evenly, split_evenly_batch, split_value
+from repro.core.split import split_evenly, split_value
+
+# Kept only because perfbench's ``--trace 1`` hook wraps this name.
+from repro.core.split import split_batch  # noqa: F401
 from repro.errors import ConfigError, QueryError
 from repro.hashing.family import BankedIndexer, BankedIndexMemo
 from repro.obs.registry import MetricsRegistry, resolve_registry
@@ -51,6 +56,9 @@ from repro.resilience.health import observe_health
 from repro.resilience.wal import WriteAheadLog
 from repro.sram.counterarray import BankedCounterArray
 from repro.types import FlowIdArray
+
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 
 def _discard_drain(
@@ -203,23 +211,25 @@ class Caesar:
     ) -> None:
         """Batched eviction drain: land one buffer chunk on the SRAM.
 
-        One memoized index resolution, one vectorized split, one
-        scatter-add — regardless of chunk size. Each stage runs under
-        its own timer (``caesar.index`` / ``caesar.split`` /
-        ``caesar.scatter_add``) so the Fig. 8-style timing breakdown is
-        observable per run; the enclosing ``cache.drain`` timer (started
-        by the cache's flush) covers the whole chunk hand-off.
+        One kernel call (:meth:`BankedCounterArray.land`) memoizes the
+        chunk's new flows, splits every value over its flow's k
+        counters and adds the parts with saturation, regardless of
+        chunk size. The random remainder's slots are drawn here first,
+        one block per chunk exactly as :func:`split_batch` draws them,
+        so the generator stream is the scalar loop's. The land runs
+        under the ``caesar.land`` timer; the enclosing ``cache.drain``
+        timer (started by the cache's flush) covers the whole chunk
+        hand-off.
         """
-        metrics = self.metrics
-        with metrics.timer("caesar.index"):
-            idx = self._memo.indices_for(ids)  # (n, k)
-        with metrics.timer("caesar.split"):
+        k = self.config.k
+        with self.metrics.timer("caesar.land"):
+            if len(values) and values.min() < 0:
+                raise ConfigError("evicted values must be >= 0")
+            slots = None
             if self.config.remainder == "random":
-                parts = split_batch(values, self.config.k, self._rng)
-            else:
-                parts = split_evenly_batch(values, self.config.k)
-        with metrics.timer("caesar.scatter_add"):
-            self.counters.add_at(idx.ravel(), parts.ravel())
+                total = int((values % k).sum())
+                slots = self._rng.integers(0, k, size=total) if total else _NO_SLOTS
+            self.counters.land(self._memo, ids, values, slots)
 
     def process(
         self,

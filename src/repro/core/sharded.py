@@ -144,13 +144,27 @@ class ShardedScheme:
             raise QueryError("cannot process packets after finalize()")
         packets = np.asarray(packets, dtype=np.uint64)
         with self.metrics.timer("sharded.process"):
-            self._feed(self.partitioner.partition(packets, lengths))
+            self._feed(packets, lengths)
 
     def _feed(
         self,
-        parts: list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]],
+        packets: npt.NDArray[np.uint64],
+        lengths: npt.NDArray[np.int64] | None,
     ) -> None:
-        """Feed one partitioned chunk to the shards, in shard order."""
+        """Partition one chunk and feed the shards, in shard order.
+
+        One shard takes the chunk as it is: no shard keeps its input,
+        so the partitioner's fresh copy (which the runtime's re-feed
+        needs) would buy nothing here.
+        """
+        if self.num_shards == 1:
+            if lengths is not None:
+                lengths = np.asarray(lengths)
+                if len(lengths) != len(packets):
+                    raise ConfigError("lengths must align with packets")
+            parts = [(packets, lengths)]
+        else:
+            parts = self.partitioner.partition(packets, lengths)
         for shard, (pkts, lens) in zip(self.shards, parts):
             if not len(pkts):
                 continue
@@ -186,7 +200,7 @@ class ShardedScheme:
             for pkts, lens in chunk_stream(
                 stream, lengths=lengths, chunk_packets=chunk_packets
             ):
-                self._feed(self.partitioner.partition(pkts, lens))
+                self._feed(pkts, lens)
 
     def finalize(self) -> None:
         """Finalize every shard (idempotent); records the aggregate and

@@ -89,25 +89,6 @@ def split_batch(
     return out
 
 
-def split_evenly_batch(
-    values: npt.NDArray[np.int64],
-    k: int,
-) -> npt.NDArray[np.int64]:
-    """Vectorized :func:`split_evenly`: remainder to the first ``q_i``
-    counters of each row, deterministically."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    values = np.asarray(values, dtype=np.int64)
-    if values.ndim != 1:
-        raise ConfigError("values must be 1-D")
-    if len(values) and values.min() < 0:
-        raise ConfigError("evicted values must be >= 0")
-    p, q = np.divmod(values, k)
-    out = np.repeat(p, k).reshape(len(values), k)
-    out += np.arange(k, dtype=np.int64)[None, :] < q[:, None]
-    return out
-
-
 def split_values_batch(
     values: npt.NDArray[np.int64],
     k: int,

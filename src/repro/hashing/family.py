@@ -117,11 +117,13 @@ class BankedIndexMemo:
     ``dict[int, ndarray]`` memo of the scalar reference: mapped-counter
     rows live in one contiguous ``(capacity, k)`` int64 table (doubled
     amortized), and a compiled open-addressing index
-    (:class:`~repro.cachesim.kernel.MemoIndex`) maps flow IDs to rows. A
-    drained eviction chunk resolves to counter indices with one kernel
-    probe, one vectorized hash of the flows it saw first, and one 2-D
-    gather — no per-eviction hashing. The indexer stays the only hash
-    implementation, so banked and tabulation families both work.
+    (:class:`~repro.cachesim.kernel.MemoIndex`) maps flow IDs to rows.
+    :meth:`land` lands a drained eviction chunk on the SRAM in one
+    kernel call, hashing the flows it sees first with the kernel's copy
+    of :meth:`BankedIndexer.indices`; any other family (tabulation)
+    memoizes a chunk's flows through its own numpy hash first.
+    :meth:`indices_for` resolves a chunk to counter indices with one
+    probe, one vectorized hash of the new flows and one 2-D gather.
 
     Flows are mapped to k *fixed* counters for the whole measurement
     (Section 3.1), so the memo doubles as the record of every flow the
@@ -134,6 +136,13 @@ class BankedIndexMemo:
             raise ConfigError(f"initial_capacity must be >= 1, got {initial_capacity}")
         self.indexer = indexer
         self._initial_capacity = initial_capacity
+        # The kernel's hash is a copy of BankedIndexer.indices, so only
+        # that family hashes in C.
+        self._seeds = (
+            np.array(indexer.family.seeds, dtype=np.uint64)
+            if type(indexer) is BankedIndexer
+            else None
+        )
         # Both allocated on first use: the scalar engine builds a memo
         # it never uses, and a fabric builds one per vantage.
         self._index: MemoIndex | None = None
@@ -143,25 +152,71 @@ class BankedIndexMemo:
         """Number of distinct flows memoized."""
         return 0 if self._index is None else len(self._index)
 
-    def _rows(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
-        """Each flow's table row, memoizing unseen flows in
-        first-occurrence order."""
+    def _reserve(self, n: int) -> None:
+        """Room for ``n`` more flows in the index and the row table."""
         if self._index is None:
             self._index = MemoIndex(self._initial_capacity)
             self._table = np.empty((self._initial_capacity, self.indexer.k), dtype=np.int64)
+        self._index.reserve(n)
+        length = len(self._index)
+        if length + n > len(self._table):
+            capacity = len(self._table)
+            while capacity < length + n:
+                capacity *= 2
+            table = np.empty((capacity, self.indexer.k), dtype=np.int64)
+            table[:length] = self._table[:length]
+            self._table = table
+
+    def _rows(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
+        """Each flow's table row, memoizing unseen flows in
+        first-occurrence order."""
+        self._reserve(len(flow_ids))
         base = len(self._index)
         rows = self._index.rows(flow_ids)
         length = len(self._index)
         if length > base:
-            if length > len(self._table):
-                capacity = len(self._table)
-                while capacity < length:
-                    capacity *= 2
-                table = np.empty((capacity, self.indexer.k), dtype=np.int64)
-                table[:base] = self._table[:base]
-                self._table = table
             self._table[base:length] = self.indexer.indices(self._index.ids()[base:])
         return rows
+
+    def land(
+        self,
+        flow_ids: npt.NDArray[np.uint64],
+        values: npt.NDArray[np.int64],
+        slots: npt.NDArray[np.int64] | None,
+        counters: npt.NDArray[np.int64],
+        capacity: int,
+    ) -> int:
+        """Add each row's value, split over its flow's k counters, to
+        ``counters`` in one kernel call, memoizing unseen flows as
+        :meth:`indices_for` does; returns the mass clipped at
+        ``capacity``.
+
+        The result equals :func:`~repro.core.split.split_batch` (with
+        ``slots`` as its remainder draw) or, with ``slots=None``,
+        :func:`~repro.core.split.split_evenly` row by row, then
+        :meth:`~repro.sram.counterarray.BankedCounterArray.add_at` of
+        the parts at :meth:`indices_for` (tests/test_land.py).
+        """
+        if len(counters) != self.indexer.total_counters:
+            # The kernel writes unchecked, so the geometries must agree.
+            raise ConfigError(
+                f"the indexer maps {self.indexer.total_counters} counters, "
+                f"the array holds {len(counters)}"
+            )
+        if self._seeds is None:
+            self._rows(flow_ids)
+        else:
+            self._reserve(len(flow_ids))
+        return self._index.land(
+            self._table,
+            self._seeds,
+            self.indexer.bank_size,
+            flow_ids,
+            values,
+            slots,
+            counters,
+            capacity,
+        )
 
     def indices_for(self, flow_ids: npt.NDArray[np.uint64]) -> npt.NDArray[np.int64]:
         """Global counter indices for a batch of (possibly repeated)

@@ -323,7 +323,8 @@ class WorkerTransport:
         ``("drain",)`` or ``("seal",)`` — or ``None`` after ``timeout``
         seconds or a doorbell release with no record behind it."""
         deadline = time.monotonic() + timeout
-        frags: bytearray | None = None
+        frags: bytearray | None = None  # a fragmented chunk, filled in order
+        filled = 0
         waited = False
         while True:
             rec = self._ring.try_read()
@@ -353,7 +354,13 @@ class WorkerTransport:
             if frags is None and not flags & FLAG_MORE:
                 packets, lengths = _decode_payload(payload, n_packets, flags)
                 return ("chunk", seq, packets, lengths)
-            frags = payload if frags is None else frags + payload
+            if frags is None:
+                # Every fragment's header carries the whole chunk's packet
+                # count and flags, so the first sizes the buffer and each
+                # fragment is copied in once.
+                frags = bytearray(n_packets * (16 if flags & FLAG_HAS_LENGTHS else 8))
+            memoryview(frags)[filled : filled + len(payload)] = payload
+            filled += len(payload)
             if flags & FLAG_MORE:
                 continue
             packets, lengths = _decode_payload(frags, n_packets, flags)

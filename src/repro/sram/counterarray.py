@@ -9,15 +9,22 @@ width never clips.
 
 Updates go through :meth:`add_at`, a vectorized scatter-add
 (``np.add.at``) over global counter indices, so bulk phases (RCS's
-per-packet updates, CAESAR's final dump) cost one NumPy call.
+per-packet updates) cost one NumPy call. CAESAR's batched drain lands
+a whole eviction chunk with :meth:`land`, one compiled call with the
+same saturation and stuck-counter accounting.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.hashing.family import BankedIndexMemo
 
 #: Counters are stored as int64 regardless of the modeled bit width;
 #: ``counter_capacity`` enforces the modeled width by saturation.
@@ -87,6 +94,24 @@ class BankedCounterArray:
             over = np.unique(over)
             self.saturated_mass += int((self._values[over] - self.counter_capacity).sum())
             self._values[over] = self.counter_capacity
+        if self._stuck_idx is not None:
+            self._repin()
+
+    def land(
+        self,
+        memo: "BankedIndexMemo",
+        flow_ids: npt.NDArray[np.uint64],
+        values: npt.NDArray[np.int64],
+        slots: npt.NDArray[np.int64] | None,
+    ) -> None:
+        """Add an eviction chunk's values, split over each flow's
+        counters, in one kernel call
+        (:meth:`~repro.hashing.family.BankedIndexMemo.land`): the same
+        counters, :attr:`saturated_mass` and :attr:`stuck_lost_mass` as
+        :meth:`add_at` of the split parts."""
+        self.saturated_mass += memo.land(
+            flow_ids, values, slots, self._values, self.counter_capacity
+        )
         if self._stuck_idx is not None:
             self._repin()
 

@@ -227,8 +227,7 @@ def test_expected_instrument_names_present(tiny_trace):
     assert "cache.drain_chunks" in snap["counters"]
     assert "cache.chunk_rows" in snap["histograms"]
     for timer in ("cache.process", "cache.drain", "cache.dump",
-                  "caesar.process", "caesar.finalize", "caesar.index",
-                  "caesar.split", "caesar.scatter_add"):
+                  "caesar.process", "caesar.finalize", "caesar.land"):
         assert timer in snap["timers"], timer
     for gauge in ("caesar.memory_bits", "caesar.num_packets",
                   "caesar.cache.hit_rate", "caesar.cache.accesses"):
