@@ -159,8 +159,8 @@ def bench_cache_scalar_uniform(benchmark, _cache_streams):
 # The hand-off after the cache: each stream's eviction rows are recorded
 # once (the kernel's DEFAULT_BUFFER_CAPACITY chunks), then replayed
 # through `Caesar._drain` on a fresh instance per round. That prices the
-# index memo, the splitter and the scatter-add together, with no cache
-# loop (the `bench_cache_kernel_*` benches price that half). The cache
+# land (memo lookup, remainder draw, split and saturating adds), with no
+# cache loop (the `bench_cache_kernel_*` benches price that half). The cache
 # holds 1024 of the 8000 flows, so replacements dominate the uniform
 # stream's evictions the way they do in the runtime's shard workers.
 

@@ -138,11 +138,7 @@ class BankedIndexMemo:
         self._initial_capacity = initial_capacity
         # The kernel's hash is a copy of BankedIndexer.indices, so only
         # that family hashes in C.
-        self._seeds = (
-            np.array(indexer.family.seeds, dtype=np.uint64)
-            if type(indexer) is BankedIndexer
-            else None
-        )
+        self._seeds = indexer.family._seed_arr if type(indexer) is BankedIndexer else None
         # Both allocated on first use: the scalar engine builds a memo
         # it never uses, and a fabric builds one per vantage.
         self._index: MemoIndex | None = None

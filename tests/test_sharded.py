@@ -54,6 +54,21 @@ class TestPartitioning:
             sc.process(packets, np.full(1000 + extra, 64, dtype=np.int64))
         assert all(shard.num_packets == 0 for shard in sc.shards)
 
+    def test_one_shard_takes_the_chunk_as_is(self, tiny_trace, monkeypatch):
+        """One shard gets the caller's array with no partition copy, and
+        misaligned lengths still fail before it sees a packet."""
+        sc = ShardedCaesar(make_config(tiny_trace), num_shards=1)
+        shard, seen = sc.shards[0], []
+        process = shard.process
+        monkeypatch.setattr(shard, "process", lambda p, *a: (seen.append(p), process(p, *a)))
+        packets = tiny_trace.packets[:1000]
+        sc.process(packets)
+        assert np.shares_memory(seen[0], packets)
+        for extra in (-1, 1):
+            with pytest.raises(ConfigError, match="align"):
+                sc.process(packets, np.full(1000 + extra, 64, dtype=np.int64))
+        assert shard.num_packets == 1000
+
     def test_rejects_zero_shards(self, tiny_trace):
         with pytest.raises(ConfigError):
             ShardedCaesar(make_config(tiny_trace), num_shards=0)
