@@ -370,8 +370,8 @@ static inline int64_t add_wrapping(int64_t *c, uint64_t amount)
 }
 
 /* Land the chunk: find or append each row's flow in the memo, in
- * first-occurrence order as fc_rows does (the caller reserved room for
- * n more), and add its parts. Then, as BankedCounterArray.add_at does,
+ * first-occurrence order as fc_rows does (with seeds, the caller
+ * reserved room for n more ids and index rows), and add its parts. Then, as BankedCounterArray.add_at does,
  * every counter the chunk touched that ends above the ceiling is
  * clipped once and its excess summed into clipped; a zero part counts
  * as a touch. Returns 0, or -1 if seeds is NULL and an id is not
