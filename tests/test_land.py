@@ -227,3 +227,13 @@ class TestLandEdges:
         with pytest.raises(ConfigError, match="at most"):
             drain(caesar, np.array([3, 8], dtype=np.uint64), np.array([1, 1], dtype=np.int64))
         assert caesar._memo.flows().tolist() == list(range(8))
+
+    @pytest.mark.parametrize("indexer_kind", ["banked", "tabulation"])
+    def test_indexer_must_match_the_counter_array(self, indexer_kind):
+        """The kernel indexes the counters unchecked, so an indexer over
+        more counters than the array holds is refused before the call."""
+        caesar = batched(config_for(3, 64, 100, "random", 1), indexer_kind)
+        caesar.indexer = make_indexer(indexer_kind, 3, 128, 1)
+        with pytest.raises(ConfigError, match="384 counters"):
+            drain(caesar, np.array([1], dtype=np.uint64), np.array([5], dtype=np.int64))
+        assert caesar.counters.values.sum() == 0
