@@ -191,14 +191,12 @@ class BankedIndexMemo:
         ``slots`` as its remainder draw) or, with ``slots=None``,
         :func:`~repro.core.split.split_evenly` row by row, then
         :meth:`~repro.sram.counterarray.BankedCounterArray.add_at` of
-        the parts at :meth:`indices_for` (tests/test_land.py).
+        the parts at :meth:`indices_for` (tests/test_land.py). The
+        kernel indexes ``counters`` and ``slots`` unchecked, so they
+        must have the indexer's geometry: the caller,
+        :meth:`~repro.sram.counterarray.BankedCounterArray.land`,
+        checks it.
         """
-        if len(counters) != self.indexer.total_counters:
-            # The kernel writes unchecked, so the geometries must agree.
-            raise ConfigError(
-                f"the indexer maps {self.indexer.total_counters} counters, "
-                f"the array holds {len(counters)}"
-            )
         if self._seeds is None:
             self._rows(flow_ids)
         else:

@@ -109,6 +109,14 @@ class BankedCounterArray:
         (:meth:`~repro.hashing.family.BankedIndexMemo.land`): the same
         counters, :attr:`saturated_mass` and :attr:`stuck_lost_mass` as
         :meth:`add_at` of the split parts."""
+        indexer = memo.indexer
+        if (indexer.k, indexer.bank_size) != (self.k, self.bank_size):
+            # The kernel indexes the counters and the remainder slots
+            # unchecked, so the memo must map into this geometry.
+            raise ConfigError(
+                f"the indexer maps {indexer.k} banks of {indexer.bank_size} counters, "
+                f"the array holds {self.k} banks of {self.bank_size}"
+            )
         self.saturated_mass += memo.land(
             flow_ids, values, slots, self._values, self.counter_capacity
         )

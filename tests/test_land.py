@@ -229,11 +229,14 @@ class TestLandEdges:
         assert caesar._memo.flows().tolist() == list(range(8))
 
     @pytest.mark.parametrize("indexer_kind", ["banked", "tabulation"])
-    def test_indexer_must_match_the_counter_array(self, indexer_kind):
-        """The kernel indexes the counters unchecked, so an indexer over
-        more counters than the array holds is refused before the call."""
+    @pytest.mark.parametrize("k, bank_size", [(3, 128), (4, 48)])
+    def test_indexer_must_match_the_counter_array(self, indexer_kind, k, bank_size):
+        """The kernel indexes the counters and the remainder slots
+        unchecked, so an indexer of another geometry is refused before
+        the call: over more counters than the array holds, or over as
+        many in banks of another count (4 x 48 against 3 x 64)."""
         caesar = batched(config_for(3, 64, 100, "random", 1), indexer_kind)
-        caesar.indexer = make_indexer(indexer_kind, 3, 128, 1)
-        with pytest.raises(ConfigError, match="384 counters"):
+        caesar.indexer = make_indexer(indexer_kind, k, bank_size, 1)
+        with pytest.raises(ConfigError, match=f"maps {k} banks of {bank_size} counters"):
             drain(caesar, np.array([1], dtype=np.uint64), np.array([5], dtype=np.int64))
         assert caesar.counters.values.sum() == 0
