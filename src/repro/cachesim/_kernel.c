@@ -371,11 +371,13 @@ static inline int64_t add_wrapping(int64_t *c, uint64_t amount)
 
 /* Land the chunk: find or append each row's flow in the memo, in
  * first-occurrence order as fc_rows does (with seeds, the caller
- * reserved room for n more ids and index rows), and add its parts. Then, as BankedCounterArray.add_at does,
- * every counter the chunk touched that ends above the ceiling is
- * clipped once and its excess summed into clipped; a zero part counts
- * as a touch. Returns 0, or -1 if seeds is NULL and an id is not
- * memoized. */
+ * reserved room for n more ids and index rows), and add its parts.
+ * Then, as BankedCounterArray.add_at does, every counter the chunk
+ * touched that ends above the ceiling is clipped once and its excess
+ * summed into clipped; a zero part counts as a touch. The caller
+ * checked that the indices fit the counters and that slots holds
+ * every row's q entries in [0, k). Returns 0, or -1 if seeds is NULL
+ * and an id is not memoized. */
 int64_t fc_land(Table *memo, Land *l)
 {
     const int64_t k = l->k, n = l->n, cap = l->capacity;

@@ -464,6 +464,10 @@ class MemoIndex:
         """
         flow_ids = np.ascontiguousarray(flow_ids, dtype=np.uint64)
         values = np.ascontiguousarray(values, dtype=np.int64)
+        if len(values) != len(flow_ids):
+            raise ValueError("values must align with flow_ids")
+        if slots is not None:
+            slots = np.ascontiguousarray(slots, dtype=np.int64)
         if seeds is not None:
             self.reserve(len(flow_ids))
             if len(indices) < self._state.size + len(flow_ids):

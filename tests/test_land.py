@@ -228,6 +228,23 @@ class TestLandEdges:
             drain(caesar, np.array([3, 8], dtype=np.uint64), np.array([1, 1], dtype=np.int64))
         assert caesar._memo.flows().tolist() == list(range(8))
 
+    def test_short_values_refused_and_narrow_slots_widened(self):
+        """The kernel reads values and slots through raw pointers."""
+        ids = np.array([5, 6], dtype=np.uint64)
+        values = np.array([4, 5], dtype=np.int64)  # one and two remainder units at k=3
+        slots = np.array([2, 0, 1])
+        landed = []
+        for dtype in (np.int64, np.int32):
+            memo = BankedIndexMemo(BankedIndexer(3, 97), initial_capacity=1)
+            counters = np.zeros(3 * 97, dtype=np.int64)
+            with pytest.raises(ValueError, match="align"):
+                memo.land(ids, values[:1], slots.astype(dtype), counters, 100)
+            assert counters.sum() == 0 and len(memo) == 0
+            memo.land(ids, values, slots.astype(dtype), counters, 100)
+            landed.append(counters)
+        np.testing.assert_array_equal(landed[0], landed[1])
+        assert landed[0].sum() == 9
+
     @pytest.mark.parametrize("indexer_kind", ["banked", "tabulation"])
     @pytest.mark.parametrize("k, bank_size", [(3, 128), (4, 48)])
     def test_indexer_must_match_the_counter_array(self, indexer_kind, k, bank_size):
