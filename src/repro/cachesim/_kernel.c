@@ -374,10 +374,10 @@ static inline int64_t add_wrapping(int64_t *c, uint64_t amount)
  * reserved room for n more ids and index rows), and add its parts.
  * Then, as BankedCounterArray.add_at does, every counter the chunk
  * touched that ends above the ceiling is clipped once and its excess
- * summed into clipped; a zero part counts as a touch. The caller
- * checked that the indices fit the counters and that slots holds
- * every row's q entries in [0, k). Returns 0, or -1 if seeds is NULL
- * and an id is not memoized. */
+ * summed into clipped; a zero part counts as a touch. Unchecked here:
+ * the caller makes every index fit the counters and draws each row's
+ * q slots in [0, k). Returns 0, or -1 if seeds is NULL and an id is
+ * not memoized. */
 int64_t fc_land(Table *memo, Land *l)
 {
     const int64_t k = l->k, n = l->n, cap = l->capacity;
