@@ -70,21 +70,6 @@ def shard_caesar_config(
     return replace(config, seed=config.seed + SHARD_SEED_STRIDE * shard_index)
 
 
-def shard_configs_for_map(
-    config: CaesarConfig,
-    shard_map: ShardMap,
-    *,
-    divide_budget: bool = True,
-) -> list[CaesarConfig]:
-    """Per-shard configs for every shard of a (possibly split) map."""
-    return [
-        shard_caesar_config(
-            config, i, shard_map.num_base, divide_budget=divide_budget
-        )
-        for i in range(shard_map.num_shards)
-    ]
-
-
 class ShardedScheme:
     """``num_shards`` independent scheme instances behind one facade.
 
@@ -272,21 +257,12 @@ class ShardedCaesar(ShardedScheme):
             shard_map = ShardMap(num_base=int(num_shards), shard_seed=int(shard_seed))
         # Budget splits over the map's *base* count: a split scales the
         # deployment out (more total memory), it never re-budgets the
-        # untouched shards (see shard_caesar_config).
+        # untouched shards. Distinct per-shard seeds keep shards
+        # hash-independent; all shards report into the same registry
+        # (aggregated stage totals). The derivation is
+        # shard_caesar_config's — shared with the streaming runtime's
+        # workers.
         num_base = shard_map.num_base
-        if divide_budget:
-            shard_config = replace(
-                config,
-                cache_entries=max(1, config.cache_entries // num_base),
-                bank_size=max(1, config.bank_size // num_base),
-            )
-        else:
-            shard_config = config
-        self.shard_config = shard_config
-        # Distinct per-shard seeds so shards are hash-independent; all
-        # shards report into the same registry (aggregated stage totals).
-        # The derivation is shard_caesar_config's — shared with the
-        # streaming runtime's workers.
         super().__init__(
             lambda i: Caesar(
                 shard_caesar_config(config, i, num_base, divide_budget=divide_budget),
@@ -295,6 +271,9 @@ class ShardedCaesar(ShardedScheme):
             shard_map=shard_map,
             registry=registry,
         )
+        #: One shard's budget share; shard 0's seed offset is zero, so
+        #: its config is the split budget under the base seed.
+        self.shard_config: CaesarConfig = self.shards[0].config  # type: ignore[attr-defined]
 
     def flows_seen(self) -> npt.NDArray[np.uint64]:
         """Every flow any shard ever saw (union of shard memos)."""

@@ -274,7 +274,7 @@ class Fabric:
         ``1/p²``, plus the Binomial thinning variance ``x(1-p)/p``
         folded into the slope (it is linear in ``x``).
         """
-        result = self.drain()
+        self.drain()
         flow_ids = np.asarray(flow_ids, dtype=np.uint64)
         pair = self.topology.pair_of(flow_ids)
         out: list[VantageObservation] = []
@@ -300,7 +300,6 @@ class Fabric:
                     vantage=node, estimates=est, var_slope=slope, var_floor=floor
                 )
             )
-        _ = result
         return out
 
     def query(

@@ -197,18 +197,7 @@ class StreamingRuntime:
         self.query_deadline = query_deadline
         faults = worker_faults or {}
         specs = [
-            WorkerSpec(
-                shard_id=i,
-                config=shard_caesar_config(
-                    config, i, num_shards, divide_budget=divide_budget
-                ),
-                state_dir=str(self.state_dir / f"shard{i}"),
-                checkpoint_every=checkpoint_every,
-                checkpoint_level=self.checkpoint_level,
-                ack_every=ack_every,
-                heartbeat_every=heartbeat_every,
-                fault_plan=faults.get(i),
-            )
+            self._worker_spec(i, f"shard{i}", fault_plan=faults.get(i))
             for i in range(self.num_shards)
         ]
         self.supervisor = ShardSupervisor(
@@ -339,6 +328,31 @@ class StreamingRuntime:
             accepted += self.ingest(pkts, lens)
         return accepted
 
+    def _worker_spec(self, shard_id: int, dirname: str, **fields) -> WorkerSpec:
+        """Shard ``shard_id``'s boot spec under this runtime's settings;
+        ``fields`` are the rest (a split successor's ancestry, or an
+        initial shard's injected faults).
+
+        The budget divides by the map's *base* count, which no split
+        changes: a split scales out, and untouched shards' configs never
+        move.
+        """
+        return WorkerSpec(
+            shard_id=shard_id,
+            config=shard_caesar_config(
+                self.config,
+                shard_id,
+                self.partitioner.shard_map.num_base,
+                divide_budget=self.divide_budget,
+            ),
+            state_dir=str(self.state_dir / dirname),
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_level=self.checkpoint_level,
+            ack_every=self.ack_every,
+            heartbeat_every=self.heartbeat_every,
+            **fields,
+        )
+
     # -- elastic resharding --------------------------------------------------
 
     @property
@@ -374,21 +388,9 @@ class StreamingRuntime:
             # WAL — recursive splits just grow the chain.
             history = (*donor_spec.history_wals, str(donor_spec.wal_path))
             spec_a, spec_b = (
-                WorkerSpec(
-                    shard_id=sid,
-                    # Budget still divides by the *base* count: a split
-                    # scales out; untouched shards' configs never move.
-                    config=shard_caesar_config(
-                        self.config,
-                        sid,
-                        new_map.num_base,
-                        divide_budget=self.divide_budget,
-                    ),
-                    state_dir=str(self.state_dir / f"shard{sid}.v{version}"),
-                    checkpoint_every=self.checkpoint_every,
-                    checkpoint_level=self.checkpoint_level,
-                    ack_every=self.ack_every,
-                    heartbeat_every=self.heartbeat_every,
+                self._worker_spec(
+                    sid,
+                    f"shard{sid}.v{version}",
                     history_wals=history,
                     history_through=sealed_seq,
                     shard_map=new_map,

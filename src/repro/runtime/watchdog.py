@@ -486,18 +486,19 @@ def offline_twin_excluding(
     quarantined: "set[tuple[int, int]] | frozenset[tuple[int, int]]",
     divide_budget: bool = True,
 ) -> "ShardedCaesar":
-    """Offline ``ShardedCaesar`` twin of a run that quarantined chunks.
+    """Offline ``ShardedCaesar`` twin of a runtime run, minus the chunks
+    it quarantined — the twin every ``serve --verify-offline`` builds.
 
     Re-simulates the runtime's exact ingest: chunk the stream, partition
     each chunk under ``shard_map``, assign per-shard sequence numbers to
     the non-empty subchunks in order, and skip the ``(shard, seq)``
     pairs in ``quarantined``. The result is finalized and bit-identical
-    to the degraded deployment's drained state — the verification twin
-    for ``serve --verify-offline`` after a poison-chunk fault.
+    to the deployment's drained state.
 
-    Assumes the map never changed mid-run (no reshard): sequence
-    numbering under a split donor is not reproducible from the final
-    map alone.
+    With nothing quarantined the twin is the plain ``ShardedCaesar``
+    under ``shard_map``, split or not. Excluding chunks assumes the map
+    never changed mid-run (no reshard): sequence numbering under a
+    split donor is not reproducible from the final map alone.
     """
     from repro.core.sharded import ShardedCaesar
     from repro.runtime.partitioner import StreamPartitioner, chunk_stream
