@@ -16,7 +16,9 @@
  * fc_rows reuses the table's index for the drain's flow -> row memo,
  * and fc_land lands a whole drained chunk on the SRAM through it.
  * fr_pairs and fr_route are the multi-vantage fabric's router; they
- * share nothing with the cache table.
+ * share nothing with the cache table. sm_owners is the sharded
+ * ingest's flow -> shard map; fr_route over one-node routes scatters
+ * a chunk by its owners.
  */
 #include <stdint.h>
 #include <string.h>
@@ -502,5 +504,42 @@ void fr_route(const Routes *r, const uint64_t *restrict ids, const int64_t *rest
             if (lengths)
                 out_lengths[v][c] = lengths[i];
         }
+    }
+}
+
+
+/* Shard map (repro/runtime/partitioner.py, ShardMap, documents the
+ * model). A flow's base owner is splitmix64(seeds[0] ^ id) % num_base,
+ * a mask when num_base is a power of two (the same owners); then split
+ * k, in chain order, moves the flow from donors[k] to the new shard
+ * num_base + k iff splitmix64(seeds[k + 1] ^ id) is odd. A shard map is
+ * a one-hop route: fr_route over routes {0}, {1}, ... with the owners
+ * as pairs scatters a chunk by shard. */
+typedef struct {
+    uint64_t num_base;
+    int64_t num_splits;
+    const uint64_t *seeds;          /* [1 + num_splits] */
+    const int64_t *donors;          /* [num_splits] */
+} Shards;
+
+/* Each of the n ids' owner. With counts (one per shard, zeroed by the
+ * caller), also how many of the ids each shard owns. */
+void sm_owners(const Shards *m, const uint64_t *restrict ids, int64_t n,
+               int64_t *restrict owners, int64_t *restrict counts)
+{
+    const uint64_t base = m->num_base, mask = base - 1, seed = m->seeds[0];
+    const int64_t num_splits = m->num_splits;
+    const uint64_t *restrict split_seeds = m->seeds + 1;
+    const int64_t *restrict donors = m->donors;
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t id = ids[i];
+        uint64_t h = base == 1 ? 0 : splitmix64(seed ^ id);
+        int64_t o = (int64_t)((base & mask) == 0 ? h & mask : h % base);
+        for (int64_t k = 0; k < num_splits; k++)
+            if (o == donors[k] && (splitmix64(split_seeds[k] ^ id) & 1))
+                o = (int64_t)base + k;
+        owners[i] = o;
+        if (counts)
+            counts[o]++;
     }
 }

@@ -47,6 +47,10 @@ _REASON_CODES = {
     EvictionReason.FINAL_DUMP: FINAL_DUMP_CODE,
 }
 
+#: :meth:`CacheStats.record_batch` counts values with ``np.bincount``
+#: when the largest is at most this many times the chunk's row count.
+_BINCOUNT_SPAN = 4
+
 #: Inverse mapping, indexable by code.
 CODE_TO_REASON = (
     EvictionReason.OVERFLOW,
@@ -146,7 +150,15 @@ class CacheStats:
             return
         self.evicted_packets += int(evicted.sum())
         hist = self.eviction_value_counts
-        uniq, counts = np.unique(evicted, return_counts=True)
+        lo, hi = int(evicted.min()), int(evicted.max())
+        if lo >= 0 and hi <= _BINCOUNT_SPAN * len(evicted):
+            # Unit weights never evict more than y, so this is the common
+            # case: no sort, and the bins stay no larger than the chunk.
+            counts = np.bincount(evicted)
+            uniq = np.flatnonzero(counts)
+            counts = counts[uniq]
+        else:
+            uniq, counts = np.unique(evicted, return_counts=True)
         for v, c in zip(uniq.tolist(), counts.tolist()):
             hist[v] = hist.get(v, 0) + c
 

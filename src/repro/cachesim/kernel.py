@@ -35,15 +35,19 @@ flow's counters with a copy of the
 (:mod:`repro.fabric.topology`): ``fr_pairs`` hashes flows to their
 attachment pairs and counts each pair's packets, and ``fr_route``
 writes every node's observed substream of a chunk, sampling included.
+:class:`ShardTable` is a shard map's copy
+(:class:`~repro.runtime.partitioner.ShardMap`): ``sm_owners`` hashes
+flows to their owners and counts each shard's packets, and
+``fr_route`` over one-node routes scatters a chunk by shard.
 
 Importing this module compiles ``_kernel.c`` with the system C compiler
 into the per-user cache directory, keyed by a hash of the source, the
 compiler, the flags and the machine type, and published atomically
 (compile to a temporary name, then rename); later imports only load it
 with :mod:`ctypes`. If the build fails the import still succeeds (the
-scalar path needs no kernel), but the batched path and the fabric
-router raise :class:`~repro.errors.KernelBuildError` with the
-compiler's message.
+scalar path needs no kernel), but the batched path, the fabric router
+and the partition of a multi-shard map raise
+:class:`~repro.errors.KernelBuildError` with the compiler's message.
 docs/performance.md has the full layout and argument.
 """
 
@@ -144,6 +148,17 @@ class _Routes(ctypes.Structure):
     ]
 
 
+class _Shards(ctypes.Structure):
+    """Mirror of the C ``Shards``: a shard map's hash seeds and split chain."""
+
+    _fields_ = [
+        ("num_base", _U64),
+        ("num_splits", _I64),
+        ("seeds", _PTR),
+        ("donors", _PTR),
+    ]
+
+
 def _cache_dir() -> Path:
     """The per-user build cache (``$XDG_CACHE_HOME/repro``, by default
     ``~/.cache/repro``; a private temp directory if that is read-only)."""
@@ -215,6 +230,8 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
     lib.fr_pairs.restype = None
     lib.fr_route.argtypes = (routes, _PTR, _PTR, _I64, _U64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR)
     lib.fr_route.restype = None
+    lib.sm_owners.argtypes = (ctypes.POINTER(_Shards), _PTR, _I64, _PTR, _PTR)
+    lib.sm_owners.restype = None
     return lib, ""
 
 
@@ -588,6 +605,20 @@ class RouteTable:
         )
         # Each node's count: the counts of the pairs whose routes it is on.
         sizes = np.bincount(self._nodes, pair_counts[self._entry_pairs], self.num_nodes)
+        return self._fill(packets, lengths, offset, pairs, sizes, seeds, limits)
+
+    def _fill(
+        self,
+        packets: npt.NDArray[np.uint64],
+        lengths: npt.NDArray[np.int64] | None,
+        offset: int,
+        pairs: npt.NDArray[np.int64],
+        sizes: npt.NDArray,
+        seeds: npt.NDArray[np.uint64] | None = None,
+        limits: npt.NDArray[np.uint64] | None = None,
+    ) -> list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]]:
+        """The fill pass of :meth:`route`, given each packet's pair and
+        at least each node's row count."""
         # One array per node, so no allocation outgrows the chunk: one
         # buffer for every node held ~2 MB more peak RSS on PATH:6.
         out_ids = [np.empty(int(size), dtype=np.uint64) for size in sizes]
@@ -601,7 +632,7 @@ class RouteTable:
             self._routes_ref,
             packets.ctypes.data,
             _address(lengths),
-            n,
+            len(packets),
             offset,
             pairs.ctypes.data,
             _address(seeds),
@@ -614,6 +645,68 @@ class RouteTable:
             (out_ids[v][:count], None if out_lengths is None else out_lengths[v][:count])
             for v, count in enumerate(counts.tolist())
         ]
+
+
+class ShardTable:
+    """A shard map in the kernel's layout
+    (:class:`~repro.runtime.partitioner.ShardMap` is the model).
+
+    Flow ``id``'s base owner is ``splitmix64(seeds[0] ^ id) % num_base``;
+    split ``k`` then moves ``donors[k]``'s flows whose
+    ``splitmix64(seeds[k + 1] ^ id)`` is odd to shard ``num_base + k``.
+    Building the table needs no kernel; using it does.
+    """
+
+    def __init__(self, num_base: int, seeds: tuple[int, ...], donors: tuple[int, ...]) -> None:
+        self.num_shards = num_base + len(donors)
+        self._seeds = np.array(seeds, dtype=np.uint64)
+        self._donors = np.array(donors, dtype=np.int64)
+        self._shards = _Shards(
+            num_base=num_base,
+            num_splits=len(donors),
+            seeds=self._seeds.ctypes.data,
+            donors=self._donors.ctypes.data,
+        )
+        self._shards_ref = ctypes.pointer(self._shards)
+        # A shard map is a one-hop route: shard s is pair s's only node.
+        self._routes = RouteTable(
+            0, 0, 1, self.num_shards, self.num_shards, tuple((s,) for s in range(self.num_shards))
+        )
+
+    def owners(
+        self,
+        flow_ids: npt.NDArray[np.uint64],
+        counts: npt.NDArray[np.int64] | None = None,
+    ) -> npt.NDArray[np.int64]:
+        """Each flow's owner. ``counts`` (one zeroed int64 per shard),
+        when given, also receives how many of the flows each shard owns."""
+        _require_kernel("the stream partitioner")
+        flow_ids = np.ascontiguousarray(flow_ids, dtype=np.uint64)
+        owners = np.empty(len(flow_ids), dtype=np.int64)
+        _LIB.sm_owners(
+            self._shards_ref,
+            flow_ids.ctypes.data,
+            len(owners),
+            owners.ctypes.data,
+            _address(counts),
+        )
+        return owners
+
+    def partition(
+        self, packets: npt.NDArray[np.uint64], lengths: npt.NDArray[np.int64] | None
+    ) -> list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]]:
+        """Every shard's packets of one chunk, and their lengths if
+        ``lengths`` is given, in stream order. The owner pass counts
+        each shard's packets, which sizes one fresh array per shard
+        exactly; the route table's fill pass writes them."""
+        packets = np.ascontiguousarray(packets, dtype=np.uint64)
+        if lengths is not None:
+            if len(lengths) != len(packets):
+                raise ConfigError("lengths must align with packets")
+            lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+        counts = np.zeros(self.num_shards, dtype=np.int64)
+        owners = self.owners(packets, counts)
+        return self._routes._fill(packets, lengths, 0, owners, counts)
 
 
 def _address(array: np.ndarray | None) -> int | None:

@@ -265,6 +265,8 @@ class StreamingRuntime:
         """
         self._require(not_drained=True)
         packets = np.asarray(packets, dtype=np.uint64)
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.int64)
         accepted = 0
         pending: tuple | None = (packets, lengths)
         while pending is not None:

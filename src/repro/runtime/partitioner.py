@@ -36,6 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import numpy.typing as npt
 
+from repro.cachesim.kernel import ShardTable
 from repro.errors import ConfigError
 from repro.hashing.family import HashFamily
 from repro.types import FlowIdArray
@@ -123,32 +124,18 @@ class ShardMap:
         )
 
     def owner_of(self, flow_ids: FlowIdArray) -> npt.NDArray[np.int64]:
-        """Which shard owns each flow under this map version."""
-        return self._owners(np.asarray(flow_ids, dtype=np.uint64), np.int64)
+        """Which shard owns each flow under this map version.
 
-    def _owners(
-        self, ids: npt.NDArray[np.uint64], dtype: npt.DTypeLike
-    ) -> npt.NDArray[np.integer]:
-        """:meth:`owner_of` as ``dtype``. A one-shard base map has
-        nothing to decide, so it skips the base hash."""
-        family = _split_family(self.shard_seed, len(self.splits))
-        if self.num_base == 1:
-            owners = np.zeros(len(ids), dtype=dtype)
-        else:
-            h = family.hash_array(0, ids)
-            base = np.uint64(self.num_base)
-            if self.num_base & (self.num_base - 1) == 0:
-                # Same owners as ``h % base`` for a power of two, at a
-                # tenth of the cost.
-                owners = (h & (base - np.uint64(1))).astype(dtype)
-            else:
-                owners = (h % base).astype(dtype)
-        for k, split in enumerate(self.splits):
-            mask = owners == split.donor
-            if mask.any():
-                bit = family.hash_array(k + 1, ids[mask]) & np.uint64(1)
-                owners[mask] = np.where(bit == 1, split.child, split.donor)
-        return owners
+        A one-shard map has nothing to decide: no hash, and no kernel.
+        Any other map runs the compiled owner pass
+        (:class:`~repro.cachesim.kernel.ShardTable`), which raises
+        :class:`~repro.errors.KernelBuildError` if the kernel could not
+        be built.
+        """
+        ids = np.asarray(flow_ids, dtype=np.uint64)
+        if self.num_shards == 1:
+            return np.zeros(len(ids), dtype=np.int64)
+        return _shard_table(self).owners(ids)
 
     def describe(self) -> str:
         """Human-readable summary (CLI/log lines)."""
@@ -159,13 +146,16 @@ class ShardMap:
 
 
 @lru_cache(maxsize=64)
-def _split_family(shard_seed: int, num_splits: int) -> HashFamily:
-    """Member 0 is the historical base-partition hash; member ``k+1``
-    decides split ``k``. Members are derived by iterating splitmix64 on
-    the master seed, so growing the family never changes earlier
-    members — a map with no splits hashes bit-identically to the
-    pre-reshard partitioner."""
-    return HashFamily(1 + num_splits, seed=shard_seed)
+def _shard_table(shard_map: ShardMap) -> ShardTable:
+    """The kernel's copy of ``shard_map``. Hash family member 0 is the
+    historical base-partition hash; member ``k+1`` decides split ``k``.
+    Members are derived by iterating splitmix64 on the master seed, so
+    growing the family never changes earlier members — a map with no
+    splits hashes bit-identically to the pre-reshard partitioner."""
+    family = HashFamily(1 + shard_map.version, seed=shard_map.shard_seed)
+    return ShardTable(
+        shard_map.num_base, family.seeds, tuple(s.donor for s in shard_map.splits)
+    )
 
 
 class StreamPartitioner:
@@ -215,18 +205,20 @@ class StreamPartitioner:
     ) -> list[tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]]:
         """Split one chunk into per-shard subchunks, stream order kept.
 
-        One pass over the chunk: a stable argsort of the narrow owner
-        array groups the rows by shard (numpy radix-sorts 8- and 16-bit
-        keys), and one gather per shard copies its rows out. A stable
-        sort keeps the relative order of each shard's packets, so
-        concatenating a shard's subchunks over any chunking of the
-        stream yields the same substream — the chunking-invariance half
-        of the determinism argument. With one shard there is nothing to
-        decide: no hash, one copy.
+        Two passes over the chunk in the compiled kernel
+        (:class:`~repro.cachesim.kernel.ShardTable`): the owner pass
+        hashes each packet to its shard and counts each shard's
+        packets, and the fill pass appends each packet, with its length,
+        to its shard's array. Each shard's packets keep their relative
+        order, so concatenating a shard's subchunks over any chunking
+        of the stream yields the same substream — the
+        chunking-invariance half of the determinism argument. With one
+        shard there is nothing to decide: no hash, no kernel, one copy.
 
         Every subchunk is a fresh array, never a view of the caller's
         buffer: the supervisor keeps sent subchunks for re-feed.
-        ``lengths``, when given, must align with ``packets``.
+        ``lengths``, when given, must align with ``packets``; the
+        subchunks' lengths are int64.
         """
         if lengths is not None and len(lengths) != len(packets):
             raise ConfigError("lengths must align with packets")
@@ -234,21 +226,10 @@ class StreamPartitioner:
             return [
                 (
                     np.array(packets, dtype=np.uint64),
-                    None if lengths is None else np.array(lengths),
+                    None if lengths is None else np.array(lengths, dtype=np.int64),
                 )
             ]
-        packets = np.asarray(packets, dtype=np.uint64)
-        owners = self.shard_map._owners(
-            packets, np.min_scalar_type(self.num_shards - 1)
-        )
-        order = np.argsort(owners, kind="stable")
-        bounds = np.searchsorted(
-            owners, np.arange(1, self.num_shards, dtype=owners.dtype), sorter=order
-        )
-        return [
-            (np.take(packets, rows), None if lengths is None else np.take(lengths, rows))
-            for rows in np.split(order, bounds)
-        ]
+        return _shard_table(self.shard_map).partition(packets, lengths)
 
 
 def chunk_stream(

@@ -230,12 +230,14 @@ def _encode_payload(
     packets: npt.NDArray[np.uint64],
     lengths: npt.NDArray[np.int64] | None,
 ) -> tuple[list, int, int]:
-    """Chunk arrays → (payload views, total bytes, flags); no copies."""
-    views: list = [np.ascontiguousarray(packets)]
+    """Chunk arrays → (payload views, total bytes, flags): uint64
+    packets, then int64 lengths if there are any. No copies unless an
+    array has another dtype or layout."""
+    views: list = [np.ascontiguousarray(packets, dtype=np.uint64)]
     nbytes = packets.size * 8
     flags = 0
     if lengths is not None:
-        views.append(np.ascontiguousarray(lengths))
+        views.append(np.ascontiguousarray(lengths, dtype=np.int64))
         nbytes += lengths.size * 8
         flags |= FLAG_HAS_LENGTHS
     return views, nbytes, flags

@@ -59,6 +59,34 @@ class TestCacheStats:
         assert s.total_evictions == 3
         assert s.evicted_packets == 12
 
+    @pytest.mark.parametrize(
+        "high, sorts", [(55, 0), (16 * 1500, 3)], ids=["unit-bincount", "bytes-unique"]
+    )
+    def test_record_batch_histogram_matches_unique(self, monkeypatch, high, sorts):
+        """Unit-weight chunks (no value above ``y``) are counted with
+        ``np.bincount``, byte-weight chunks with ``np.unique``; both
+        give ``np.unique``'s keys, counts and insertion order."""
+        rng = np.random.default_rng(3)
+        chunks = [rng.integers(0, high, size=n) for n in (4096, 37, 4096)]
+        expected: dict[int, int] = {}
+        for values in chunks:
+            uniq, counts = np.unique(values, return_counts=True)
+            for v, c in zip(uniq.tolist(), counts.tolist()):
+                expected[v] = expected.get(v, 0) + c
+        real_unique, calls = np.unique, []
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        s = CacheStats()
+        for values in chunks:
+            s.record_batch(values, np.zeros(len(values), dtype=np.uint8))
+        assert len(calls) == sorts
+        assert list(s.eviction_value_counts.items()) == list(expected.items())
+        assert s.evicted_packets == sum(int(v.sum()) for v in chunks)
+
 
 class TestLatencyBoundaries:
     def test_loss_zero_at_equal_speed(self):

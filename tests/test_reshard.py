@@ -23,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cachesim import kernel
 from repro.core.sharded import ShardedCaesar
-from repro.errors import ConfigError, IngestError
+from repro.errors import ConfigError, IngestError, KernelBuildError
 from repro.hashing.family import HashFamily
 from repro.obs.registry import MetricsRegistry
 from repro.runtime import ShardMap, ShardSplit, StreamPartitioner
@@ -179,9 +180,33 @@ def partition_cases(draw):
     return m, packets, lengths
 
 
+@st.composite
+def owner_cases(draw):
+    """A map of 1–16 base shards (powers of two and not) and 0–3
+    splits, with flow ids across the full 64-bit range."""
+    m = ShardMap(num_base=draw(st.integers(min_value=1, max_value=16)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        m = m.split(draw(st.integers(min_value=0, max_value=m.num_shards - 1)))
+    return m, draw(flow_arrays)
+
+
+def numpy_owners(shard_map, ids):
+    """The owner formula in numpy, independent of the kernel's owner
+    pass: ``h0(flow) % num_base``, then split ``k`` moves its donor's
+    flows whose ``h_{k+1}(flow)`` is odd to its child."""
+    family = HashFamily(1 + shard_map.version, seed=shard_map.shard_seed)
+    ids = np.asarray(ids, dtype=np.uint64)
+    owners = (family.hash_array(0, ids) % np.uint64(shard_map.num_base)).astype(np.int64)
+    for k, split in enumerate(shard_map.splits):
+        mask = owners == split.donor
+        bit = family.hash_array(k + 1, ids[mask]) & np.uint64(1)
+        owners[mask] = np.where(bit == 1, split.child, split.donor)
+    return owners
+
+
 def mask_partition(shard_map, packets, lengths):
-    """The reference: one boolean mask per shard."""
-    owners = shard_map.owner_of(packets)
+    """The reference: one boolean mask per shard over the numpy owners."""
+    owners = numpy_owners(shard_map, packets)
     return [
         (packets[owners == s], None if lengths is None else lengths[owners == s])
         for s in range(shard_map.num_shards)
@@ -189,6 +214,14 @@ def mask_partition(shard_map, packets, lengths):
 
 
 class TestPartitionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(owner_cases())
+    def test_owner_of_matches_numpy_reference(self, case):
+        m, ids = case
+        owners = m.owner_of(ids)
+        assert owners.dtype == np.int64
+        np.testing.assert_array_equal(owners, numpy_owners(m, ids))
+
     @settings(max_examples=150, deadline=None)
     @given(partition_cases())
     def test_matches_mask_reference(self, case):
@@ -214,7 +247,7 @@ class TestPartitionProperties:
         position lands on its owner exactly once."""
         m, packets, _ = case
         positions = np.arange(len(packets), dtype=np.int64)
-        owners = m.owner_of(packets)
+        owners = numpy_owners(m, packets)
         parts = StreamPartitioner(shard_map=m).partition(packets, positions)
         for s, (_, pos) in enumerate(parts):
             assert np.all(np.diff(pos) > 0)
@@ -258,6 +291,36 @@ class TestPartitionProperties:
         np.testing.assert_array_equal(lens, lengths)
         assert not np.shares_memory(pkts, ids)
         assert not np.shares_memory(lens, lengths)
+
+
+class TestWithoutKernel:
+    """Only a map with more than one shard partitions in the kernel."""
+
+    def test_one_shard_needs_no_kernel(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_LIB", None)
+        ids = np.arange(1000, dtype=np.uint64)
+        np.testing.assert_array_equal(ShardMap(num_base=1).owner_of(ids), np.zeros(len(ids)))
+        lengths = np.full(len(ids), 64, dtype=np.int64)
+        ((pkts, lens),) = StreamPartitioner(1).partition(ids, lengths)
+        np.testing.assert_array_equal(pkts, ids)
+        np.testing.assert_array_equal(lens, lengths)
+
+    @pytest.mark.parametrize(
+        "shard_map",
+        [ShardMap(num_base=2), ShardMap(num_base=3), ShardMap(num_base=1).split(0)],
+        ids=["base2", "base3", "split"],
+    )
+    def test_multi_shard_map_needs_the_kernel(self, monkeypatch, shard_map):
+        monkeypatch.setattr(kernel, "_LIB", None)
+        ids = np.arange(1000, dtype=np.uint64)
+        with pytest.raises(KernelBuildError, match="partitioner"):
+            shard_map.owner_of(ids)
+        with pytest.raises(KernelBuildError, match="partitioner"):
+            StreamPartitioner(shard_map=shard_map).partition(ids)
+        # The scalar engine's sharded path too.
+        scheme = ShardedCaesar(make_config("scalar"), shard_map=shard_map)
+        with pytest.raises(KernelBuildError, match="partitioner"):
+            scheme.process(ids)
 
 
 # -- planner ------------------------------------------------------------------

@@ -325,6 +325,17 @@ class TestBitIdentity:
             assert_matches_offline(result, rt, base, flows)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_int32_lengths_match_offline(tmp_path, stream, byte_lengths, flows, workers):
+    """Byte lengths of a narrower dtype travel as the int64 lengths the
+    ring record declares, so the workers count the caller's bytes."""
+    config = weighted_config(make_config())
+    base = offline_baseline(config, workers, stream, byte_lengths)
+    with StreamingRuntime(config, workers, state_dir=tmp_path) as rt:
+        rt.ingest_stream(stream, lengths=byte_lengths.astype(np.int32), chunk_packets=1500)
+        assert_matches_offline(rt.drain(), rt, base, flows)
+
+
 class TestRecovery:
     @pytest.mark.parametrize("weighted", [False, True], ids=["packets", "bytes"])
     def test_sigkill_mid_stream_recovers_bit_identically(
