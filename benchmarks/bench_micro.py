@@ -465,7 +465,7 @@ def bench_ingest_wal_append(benchmark, tmp_path):
 # `StreamPartitioner.partition` over the runtime batch in the end-to-end
 # benchmark's 65,536-packet chunks, without byte lengths. One shard is
 # the fabric's vantage shape (a copy, no hash); two and four shards
-# price the stable-sort split.
+# price the kernel's owner pass and fill.
 
 
 def _bench_partition(benchmark, runtime_packet_batch, num_shards):
