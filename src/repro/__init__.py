@@ -32,7 +32,7 @@ Package map
 - :mod:`repro.obs` — opt-in observability (metrics registry, stage
   timers, eviction-stream tracing); zero overhead when off;
 - :mod:`repro.resilience` — crash-consistent checkpoint/restore,
-  eviction write-ahead log, deterministic fault injection, health
+  the ingest write-ahead log, deterministic fault injection, health
   signals;
 - :mod:`repro.runtime` — streaming ingest runtime: long-lived shard
   worker processes with bounded queues, backpressure, live queries,
@@ -47,6 +47,7 @@ Package map
 from repro.analysis.metrics import evaluate
 from repro.api import MeasurementResult, StreamMeasurementResult, measure
 from repro.fabric import Fabric, FabricResult, FusionReport, parse_topology
+from repro.runtime import recover
 from repro.runtime.client import RuntimeResult, StreamingRuntime
 from repro.baselines.case import Case, CaseConfig
 from repro.baselines.rcs import RCS, RCSConfig
@@ -69,7 +70,6 @@ from repro.resilience import (
     HealthSnapshot,
     WriteAheadLog,
     health_of,
-    recover,
 )
 from repro.traffic.trace import Trace, default_paper_trace
 

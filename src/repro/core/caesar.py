@@ -33,6 +33,8 @@ pinned to its numpy reference by ``tests/test_land.py``).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import numpy.typing as npt
 
@@ -51,9 +53,9 @@ from repro.hashing.family import BankedIndexer, BankedIndexMemo
 from repro.obs.registry import MetricsRegistry, resolve_registry
 from repro.obs.schemes import observe_cache_stats, observe_scheme
 from repro.obs.trace import EvictionTrace
+from repro.resilience.atomic import atomic_publish
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.health import observe_health
-from repro.resilience.wal import WriteAheadLog
 from repro.sram.counterarray import BankedCounterArray
 from repro.types import FlowIdArray
 
@@ -91,7 +93,6 @@ class Caesar:
         registry: MetricsRegistry | None = None,
         eviction_trace: EvictionTrace | None = None,
         fault_plan: FaultPlan | None = None,
-        wal: WriteAheadLog | None = None,
     ) -> None:
         self.config = config
         # Observability (off by default): stage timers + counters go to
@@ -118,52 +119,21 @@ class Caesar:
         self._packets_seen = 0
         self._mass_seen = 0  # == packets when counting packets; bytes when counting volume
         self._finalized = False
-        # Resilience attachments (both off by default; the healthy path
-        # with neither is byte-for-byte the pre-resilience hot path).
+        # Resilience attachment (off by default; the healthy path
+        # without it is byte-for-byte the pre-resilience hot path).
         self._injector: FaultInjector | None = (
             FaultInjector(fault_plan).attach(cache=self.cache, counters=self.counters)
             if fault_plan is not None and fault_plan.enabled
             else None
         )
-        self._wal = wal
+        if self._injector is not None:
+            self._drain_fn = self._injector.wrap_drain(self._drain)
+            self._sink_fn = self._injector.wrap_sink(self._sink)
+        else:
+            self._drain_fn = self._drain
+            self._sink_fn = self._sink
         self._last_checkpoint_mass = 0
         self._epoch = 0
-        self._rebuild_io_chain()
-
-    def _rebuild_io_chain(self) -> None:
-        """Compose the eviction drain/sink with the resilience wrappers.
-
-        Layering (innermost first): the scheme's own ``_drain``/``_sink``,
-        then fault injection, then the write-ahead log *outermost* — the
-        WAL records what the cache emitted, so even a chunk the injector
-        drops is recoverable by checkpoint + replay.
-        """
-        drain = self._drain
-        sink = self._sink
-        if self._injector is not None:
-            drain = self._injector.wrap_drain(drain)
-            sink = self._injector.wrap_sink(sink)
-        if self._wal is not None:
-            wal = self._wal
-            inner_drain = drain
-            inner_sink = sink
-
-            def logged_drain(
-                ids: npt.NDArray[np.uint64],
-                values: npt.NDArray[np.int64],
-                reasons: npt.NDArray[np.uint8],
-            ) -> None:
-                wal.append_chunk(ids, values, reasons)
-                inner_drain(ids, values, reasons)
-
-            def logged_sink(flow_id: int, value: int, reason: EvictionReason) -> None:
-                wal.append_event(flow_id, value, reason.code)
-                inner_sink(flow_id, value, reason)
-
-            drain = logged_drain
-            sink = logged_sink
-        self._drain_fn = drain
-        self._sink_fn = sink
 
     @property
     def indexer(self) -> BankedIndexer:
@@ -269,8 +239,6 @@ class Caesar:
             else:
                 self.cache.dump_into(self._buffer, self._drain_fn)
         self._finalized = True
-        if self._wal is not None:
-            self._wal.flush()
         observe_cache_stats(self.metrics, self.cache.stats, "caesar.cache")
         observe_scheme(self.metrics, self, "caesar")
         observe_health(self.metrics, self, "caesar")
@@ -417,8 +385,6 @@ class Caesar:
         self._finalized = False
         self._last_checkpoint_mass = 0
         self._epoch += 1
-        if self._wal is not None:
-            self._wal.begin_epoch(self._epoch)
 
     # -- crash consistency ---------------------------------------------------
 
@@ -429,24 +395,28 @@ class Caesar:
         covering *everything* construction depends on — counters, cache
         contents and policy order, generator states, index memo,
         statistics, the pending eviction chunk, and fault-injector
-        state — so a :meth:`resume` continues bit-identically. An
-        attached WAL is flushed first so the checkpoint's replay cursor
-        (``wal_seq``) points at durable records.
+        state — so a :meth:`resume` continues bit-identically.
         """
         from repro.resilience.checkpoint import Checkpoint
 
-        if self._wal is not None:
-            self._wal.flush()
         ckpt = Checkpoint.capture(self)
         self._last_checkpoint_mass = self._mass_seen
         return ckpt
 
     def save_checkpoint(self, path, *, level: int = 1):
-        """:meth:`checkpoint` + :meth:`~repro.resilience.checkpoint.Checkpoint.save`.
+        """:meth:`checkpoint` + :meth:`~repro.resilience.checkpoint.Checkpoint.save`,
+        published atomically.
 
+        The checkpoint is written to a ``.tmp_`` sibling and renamed
+        over ``path`` (:func:`~repro.resilience.atomic.atomic_publish`),
+        so a crash mid-save leaves the previous checkpoint there intact.
         Returns the path actually written (``.npz`` appended if absent).
         """
-        return self.checkpoint().save(path, level=level)
+        target = Path(path)
+        if target.suffix != ".npz":
+            target = target.with_suffix(target.suffix + ".npz")
+        tmp = target.parent / f".tmp_{target.name}"
+        return atomic_publish(self.checkpoint().save(tmp, level=level), target)
 
     @classmethod
     def resume(
@@ -454,7 +424,6 @@ class Caesar:
         source,
         *,
         registry: MetricsRegistry | None = None,
-        wal: WriteAheadLog | None = None,
     ) -> "Caesar":
         """Rebuild an instance from a checkpoint (path or object).
 
@@ -467,7 +436,7 @@ class Caesar:
         from repro.resilience.checkpoint import Checkpoint
 
         ckpt = source if isinstance(source, Checkpoint) else Checkpoint.load(source)
-        return ckpt.restore(registry=registry, wal=wal)
+        return ckpt.restore(registry=registry)
 
     def confidence_interval(
         self,

@@ -4,9 +4,9 @@ Three cooperating layers, documented in docs/resilience.md:
 
 - :mod:`repro.resilience.checkpoint` — crash-consistent snapshots of a
   full CAESAR instance, restorable bit-identically;
-- :mod:`repro.resilience.wal` — a write-ahead log of eviction chunks
-  covering the window between checkpoints, plus checkpoint+replay
-  recovery;
+- :mod:`repro.resilience.wal` — the shard workers' ingest write-ahead
+  log, covering the window between checkpoints (checkpoint + replay
+  recovery is :func:`repro.runtime.worker.recover`);
 - :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection on the cache → split → SRAM hot path;
 - :mod:`repro.resilience.health` — degraded-mode health signals over
@@ -16,7 +16,7 @@ Three cooperating layers, documented in docs/resilience.md:
 from repro.resilience.checkpoint import CHECKPOINT_FORMAT_VERSION, Checkpoint
 from repro.resilience.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.resilience.health import HealthSnapshot, health_of, observe_health
-from repro.resilience.wal import RecoveryResult, WalRecord, WriteAheadLog, recover
+from repro.resilience.wal import WalRecord, WriteAheadLog
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -24,11 +24,9 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "HealthSnapshot",
-    "RecoveryResult",
     "WalRecord",
     "WriteAheadLog",
     "health_of",
     "observe_health",
     "parse_fault_spec",
-    "recover",
 ]

@@ -44,7 +44,6 @@ from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.caesar import Caesar
-    from repro.resilience.wal import WriteAheadLog
 
 #: Bumped on any incompatible change to the member layout.
 #: v2: the digest normalizes the ``engine`` config field away, so
@@ -228,7 +227,8 @@ class Checkpoint:
             "finalized": caesar._finalized,
             "last_checkpoint_mass": caesar._mass_seen,
             "epoch": caesar._epoch,
-            "wal_seq": caesar._wal.next_seq if caesar._wal is not None else 0,
+            # Retired eviction-log cursor, kept so digests do not move.
+            "wal_seq": 0,
             "buffer_capacity": caesar._buffer.capacity,
             "saturated_mass": counters["saturated_mass"],
             "stuck_lost_mass": counters["stuck_lost_mass"],
@@ -260,20 +260,15 @@ class Checkpoint:
 
     # -- restore -----------------------------------------------------------
 
-    def restore(
-        self,
-        *,
-        registry: MetricsRegistry | None = None,
-        wal: "WriteAheadLog | None" = None,
-    ) -> "Caesar":
+    def restore(self, *, registry: MetricsRegistry | None = None) -> "Caesar":
         """Rebuild the live instance this checkpoint captured.
 
         The restored instance continues construction bit-identically to
         the original: every stateful piece — counters, cache contents
         and replacement order, split-RNG state, index-memo first-seen
         order, statistics, and the pending eviction chunk — is restored
-        exactly. ``registry`` and ``wal`` are attachments of the new
-        process, not part of the captured state.
+        exactly. ``registry`` is an attachment of the new process, not
+        part of the captured state.
         """
         from repro.core.caesar import Caesar
         from repro.resilience.faults import FaultPlan
@@ -292,7 +287,6 @@ class Checkpoint:
             buffer_capacity=int(meta["buffer_capacity"]),
             registry=registry,
             fault_plan=plan,
-            wal=wal,
         )
         if meta["indexer"]["kind"] == "tabulation":
             caesar.indexer = TabulationIndexer(
@@ -412,6 +406,5 @@ class Checkpoint:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Checkpoint(mass={self.meta['mass_seen']}, "
-            f"epoch={self.meta['epoch']}, wal_seq={self.meta['wal_seq']})"
+            f"Checkpoint(mass={self.meta['mass_seen']}, epoch={self.meta['epoch']})"
         )

@@ -22,7 +22,8 @@ Module map:
   backpressure, control and message planes on ``multiprocessing``
   queues, and a restart-safe per-incarnation lifecycle;
 - :mod:`~repro.runtime.worker` — the shard worker process: ingest WAL,
-  periodic atomic checkpoints, boot-time recovery;
+  periodic atomic checkpoints, and :func:`recover`, the one recovery
+  path (newest checkpoint + ingest-WAL replay);
 - :mod:`~repro.runtime.supervisor` — process babysitting: crash
   detection, restart, retained-chunk re-feed, and the live shard-split
   state machine (seal → replay → cutover → refeed);
@@ -68,7 +69,7 @@ from repro.runtime.watchdog import (
     load_quarantine,
     offline_twin_excluding,
 )
-from repro.runtime.worker import WorkerSpec, boot_shard
+from repro.runtime.worker import WorkerSpec, boot_shard, recover
 
 
 def __getattr__(name: str) -> object:
@@ -112,4 +113,5 @@ __all__ = [
     "chunk_stream",
     "load_quarantine",
     "offline_twin_excluding",
+    "recover",
 ]

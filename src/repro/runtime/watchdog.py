@@ -370,7 +370,6 @@ def quarantine_chunk(
 def load_quarantine(state_dir: str | Path) -> list[QuarantineRecord]:
     """All quarantined chunks under a runtime state dir (all shards)."""
     from repro.resilience.wal import WriteAheadLog
-    from repro.runtime.worker import decode_ingest_record
 
     out: list[QuarantineRecord] = []
     root = Path(state_dir)
@@ -383,8 +382,7 @@ def load_quarantine(state_dir: str | Path) -> list[QuarantineRecord]:
         chunks: dict[int, tuple] = {}
         wal_path = meta_path.parent / QUARANTINE_WAL
         if wal_path.exists() and wal_path.stat().st_size > 0:
-            for record in WriteAheadLog.iter_records(wal_path):
-                seq, packets, lengths = decode_ingest_record(record)
+            for seq, packets, lengths in WriteAheadLog.iter_records(wal_path):
                 chunks[seq] = (packets, lengths)
         for line in meta_path.read_text(encoding="utf-8").splitlines():
             if not line.strip():

@@ -26,12 +26,14 @@ Durability protocol (per chunk, in order):
    atomically; the ingest WAL's role shrinks back to "since the last
    checkpoint".
 
-Recovery on boot inverts the protocol: restore the newest readable
-checkpoint, replay ingest-WAL chunks past its sequence number (the
-checkpoint restores the split RNG exactly, so replay is bit-identical),
-then report the last recovered sequence number — the supervisor re-feeds
-anything newer from its retention buffer. A chunk therefore reaches the
-scheme exactly once, in order, across any number of crashes.
+Recovery on boot inverts the protocol. :func:`recover`, the package's
+one recovery function (``repro.recover``), restores the newest readable
+checkpoint and replays ingest-WAL chunks past its sequence number (the
+checkpoint restores the cache and the split RNG exactly, so replay is
+bit-identical); the worker then reports the last recovered sequence
+number — the supervisor re-feeds anything newer from its retention
+buffer. A chunk therefore reaches the scheme exactly once, in order,
+across any number of crashes.
 
 Each chunk is one ingest record of
 :class:`~repro.resilience.wal.WriteAheadLog`: the chunk seq in the
@@ -60,7 +62,7 @@ from repro.resilience.async_ckpt import CheckpointDone, ShardCheckpointer
 from repro.resilience.atomic import atomic_publish
 from repro.resilience.checkpoint import Checkpoint
 from repro.resilience.faults import FaultPlan
-from repro.resilience.wal import INGEST_RECORDS, WalRecord, WriteAheadLog
+from repro.resilience.wal import WriteAheadLog
 from repro.runtime.partitioner import ShardMap
 from repro.runtime.transport import DEFAULT_ACK_EVERY
 from repro.runtime.watchdog import DEFAULT_HEARTBEAT_EVERY
@@ -178,17 +180,6 @@ def append_ingest_chunk(
     wal.flush()
 
 
-def decode_ingest_record(
-    record: WalRecord,
-) -> tuple[int, npt.NDArray[np.uint64], npt.NDArray[np.int64] | None]:
-    """Invert :func:`append_ingest_chunk` → ``(seq, packets, lengths)``."""
-    if record.kind not in INGEST_RECORDS:
-        raise TraceFormatError(
-            f"WAL record seq={record.seq} is not an ingest record (type {record.kind})"
-        )
-    return record.seq, record.ids, record.values
-
-
 # -- injected runtime faults --------------------------------------------------
 
 
@@ -254,8 +245,7 @@ def _replay_history(scheme: Caesar, spec: WorkerSpec) -> int:
         path = Path(wal_path)
         if not path.exists() or path.stat().st_size == 0:
             continue
-        for record in WriteAheadLog.iter_records(path):
-            seq, packets, lengths = decode_ingest_record(record)
+        for seq, packets, lengths in WriteAheadLog.iter_records(path):
             if seq > spec.history_through:
                 continue  # beyond the sealed cut (defensive; never post-seal)
             mask = spec.shard_map.owner_of(packets) == spec.shard_id
@@ -268,14 +258,19 @@ def _replay_history(scheme: Caesar, spec: WorkerSpec) -> int:
     return replayed
 
 
-def boot_shard(spec: WorkerSpec) -> tuple[Caesar, int, int]:
-    """Build or recover this shard's scheme.
+def recover(spec: WorkerSpec) -> tuple[Caesar, int, int]:
+    """Checkpoint + ingest replay → this shard's scheme as it stood at
+    the crash: the one recovery path.
 
     Returns ``(scheme, last_seq, replayed)``: the live instance, the
     last chunk sequence number durably applied (``-1`` for a fresh
-    boot), and how many WAL chunks were replayed. Unreadable (torn)
-    checkpoints fall back to the previous one — the WAL bridges the
-    extra gap automatically.
+    boot), and how many WAL chunks were replayed. Restores the newest
+    readable ``ck_<seq>.npz``; unreadable (torn) checkpoints fall back
+    to the previous one — the WAL bridges the extra gap automatically.
+    With none readable it starts from a fresh :class:`Caesar`. Then it
+    re-processes every ingest-WAL chunk past that seq. The checkpoint
+    restores the cache residents, the split RNG and the fault injector
+    exactly, so the result equals the uninterrupted run bit for bit.
 
     A split successor with no readable checkpoint first replays its
     ancestor WAL chain (filtered by flow ownership), checkpoints that
@@ -314,17 +309,23 @@ def boot_shard(spec: WorkerSpec) -> tuple[Caesar, int, int]:
     if wal_path.exists() and wal_path.stat().st_size > 0:
         # Replay stops at a torn tail; the WriteAheadLog the worker
         # opens next cuts it before appending.
-        for record in WriteAheadLog.iter_records(wal_path):
-            seq, packets, lengths = decode_ingest_record(record)
+        for seq, packets, lengths in WriteAheadLog.iter_records(wal_path):
             if seq <= last_seq:
                 continue
             scheme.process(packets, lengths)
             last_seq = seq
             replayed += 1
+    return scheme, last_seq, replayed
+
+
+def boot_shard(spec: WorkerSpec) -> tuple[Caesar, int, int]:
+    """:func:`recover` this shard's scheme, then ready the process for
+    ingest; returns what :func:`recover` does."""
+    scheme, last_seq, replayed = recover(spec)
     # Long-lived process: absorb the banks' first-touch page faults
     # here, not inside the first chunks' scatter-adds.
     scheme.counters.prefault()
-    _warm_code_paths(state_dir)
+    _warm_code_paths(Path(spec.state_dir))
     return scheme, last_seq, replayed
 
 

@@ -17,13 +17,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.caesar import Caesar
 from repro.core.config import CaesarConfig
 from repro.core.sharded import ShardedCaesar
 from repro.errors import ConfigError, IngestError, TraceFormatError
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.wal import WAL_MAGIC, WriteAheadLog, recover
+from repro.resilience.wal import WAL_MAGIC, WriteAheadLog
 from repro.runtime import StreamPartitioner, chunk_stream
 from repro.runtime.client import StreamingRuntime
 from repro.runtime.transport import (
@@ -35,9 +37,10 @@ from repro.runtime.transport import (
 )
 from repro.runtime.worker import (
     WorkerSpec,
+    _save_checkpoint_atomic,
     append_ingest_chunk,
     boot_shard,
-    decode_ingest_record,
+    recover,
 )
 from tests.conftest import wait_until
 
@@ -156,11 +159,9 @@ class TestIngestWal:
         with WriteAheadLog(path) as wal:
             append_ingest_chunk(wal, 0, stream[:50], None)
             append_ingest_chunk(wal, 1, stream[50:80], np.ones(30, np.int64))
-        records = list(WriteAheadLog.iter_records(path))
-        seq0, pkts0, lens0 = decode_ingest_record(records[0])
+        (seq0, pkts0, lens0), (seq1, pkts1, lens1) = WriteAheadLog.iter_records(path)
         assert seq0 == 0 and lens0 is None
         np.testing.assert_array_equal(pkts0, stream[:50])
-        seq1, pkts1, lens1 = decode_ingest_record(records[1])
         assert seq1 == 1
         np.testing.assert_array_equal(lens1, np.ones(30, np.int64))
 
@@ -168,10 +169,11 @@ class TestIngestWal:
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as wal:
             append_ingest_chunk(wal, 0, stream[:40], None)
+        intact = path.stat().st_size
         with open(path, "ab") as fh:
             fh.write(b"\x01\x02\x03torn")  # crash mid-append
-        removed = WriteAheadLog.truncate_torn_tail(path)
-        assert removed == 7
+        WriteAheadLog(path).close()
+        assert path.stat().st_size == intact
         assert len(list(WriteAheadLog.iter_records(path))) == 1
 
     def test_boot_recovers_from_wal_only(self, tmp_path, stream):
@@ -220,14 +222,6 @@ class TestIngestWal:
         assert (ref_seq, ref_replayed) == (5, 6)
         assert scheme.checkpoint().digest == reference.checkpoint().digest
 
-    def test_decode_rejects_eviction_record(self, tmp_path, stream):
-        path = tmp_path / "ingest.wal"
-        with WriteAheadLog(path) as wal:
-            wal.append_chunk(stream[:4], np.zeros(4, np.int64), np.zeros(4, np.uint8))
-        (record,) = list(WriteAheadLog.iter_records(path))
-        with pytest.raises(TraceFormatError, match="not an ingest record"):
-            decode_ingest_record(record)
-
     def test_record_size_is_header_plus_raw_arrays(self, tmp_path, stream):
         """8 bytes a packet (16 with byte lengths) plus a 13-byte header
         per chunk, exactly, whatever the chunk sizes."""
@@ -239,7 +233,7 @@ class TestIngestWal:
                 append_ingest_chunk(wal, seq, stream[:n], lengths)
         expected = len(WAL_MAGIC) + sum(13 + n * (16 if w else 8) for n, w in sizes)
         assert path.stat().st_size == expected
-        decoded = [decode_ingest_record(r) for r in WriteAheadLog.iter_records(path)]
+        decoded = WriteAheadLog.iter_records(path)
         assert [(seq, len(p), lens is not None) for seq, p, lens in decoded] == [
             (seq, n, w) for seq, (n, w) in enumerate(sizes)
         ]
@@ -270,9 +264,8 @@ class TestIngestWal:
         assert [r.seq for r in WriteAheadLog.iter_records(path)] == [0]
         with WriteAheadLog(path) as wal:
             assert path.stat().st_size == intact
-            assert wal.next_seq == 1
             append_ingest_chunk(wal, 1, stream[:100], lengths)
-        seq, pkts, lens = decode_ingest_record(list(WriteAheadLog.iter_records(path))[1])
+        seq, pkts, lens = list(WriteAheadLog.iter_records(path))[1]
         assert seq == 1
         np.testing.assert_array_equal(pkts, stream[:100])
         np.testing.assert_array_equal(lens, lengths)
@@ -287,29 +280,79 @@ class TestIngestWal:
         with pytest.raises(TraceFormatError, match="CRC"):
             list(WriteAheadLog.iter_records(path))
         with pytest.raises(TraceFormatError, match="CRC"):
-            WriteAheadLog.truncate_torn_tail(path)
+            WriteAheadLog(path)
 
-    def test_unknown_record_type_raises(self, tmp_path, stream):
+    @pytest.mark.parametrize("kind", [0, 1, 9])
+    def test_unknown_record_type_raises(self, tmp_path, stream, kind):
         """The type sizes the payload, so an unknown one cannot be
-        skipped or cut as a torn tail: both readers refuse the log."""
+        skipped or cut as a torn tail: the reader and an open for
+        append both refuse the log. Types 0 and 1 are the retired
+        eviction log's chunk and epoch records."""
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as wal:
             append_ingest_chunk(wal, 0, stream[:20], None)
         with open(path, "ab") as fh:
-            fh.write(struct.pack("<BIII", 9, 1, 2, 0) + bytes(16))
-        with pytest.raises(TraceFormatError, match="unknown type 9"):
+            fh.write(struct.pack("<BIII", kind, 1, 2, 0) + bytes(34))
+        with pytest.raises(TraceFormatError, match=f"unknown type {kind}"):
             list(WriteAheadLog.iter_records(path))
-        with pytest.raises(TraceFormatError, match="unknown type 9"):
-            WriteAheadLog.truncate_torn_tail(path)
+        with pytest.raises(TraceFormatError, match=f"unknown type {kind}"):
+            WriteAheadLog(path)
 
-    def test_recover_rejects_ingest_wal(self, tmp_path, stream):
-        """The eviction WAL's recover() must not drain packet ids as if
-        they were evicted flows."""
-        path = tmp_path / "ingest.wal"
-        with WriteAheadLog(path) as wal:
-            append_ingest_chunk(wal, 0, stream[:20], None)
-        with pytest.raises(TraceFormatError, match="ingest WAL"):
-            recover(Caesar(make_config()).checkpoint(), path)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        engine=st.sampled_from(["batched", "scalar"]),
+        weighted=st.booleans(),
+        checkpoint_every=st.integers(0, 5),
+        n_chunks=st.integers(1, 12),
+        torn=st.none() | st.floats(0.01, 0.99),
+    )
+    def test_recover_equals_uninterrupted_run(
+        self,
+        tmp_path_factory,
+        stream,
+        byte_lengths,
+        engine,
+        weighted,
+        checkpoint_every,
+        n_chunks,
+        torn,
+    ):
+        """Chunks logged and checkpoints published as the worker does
+        both, then a crash, optionally mid-append: ``recover`` restores
+        the newest checkpoint and replays the chunks past it, and is
+        digest-equal to the scheme that never stopped, cache residents
+        included."""
+        config = make_config(engine)
+        if weighted:
+            config = weighted_config(config)
+        spec = WorkerSpec(
+            shard_id=0, config=config, state_dir=str(tmp_path_factory.mktemp("shard"))
+        )
+        packets = np.array_split(stream[:3000], n_chunks + 1)
+        lengths = (
+            np.array_split(byte_lengths[:3000], n_chunks + 1)
+            if weighted
+            else [None] * (n_chunks + 1)
+        )
+        live = Caesar(config)
+        last_checkpoint = -1
+        with WriteAheadLog(spec.wal_path) as wal:
+            for seq in range(n_chunks):
+                append_ingest_chunk(wal, seq, packets[seq], lengths[seq])
+                live.process(packets[seq], lengths[seq])
+                if checkpoint_every and (seq + 1) % checkpoint_every == 0:
+                    _save_checkpoint_atomic(live, spec.checkpoint_path(seq))
+                    last_checkpoint = seq
+        if torn is not None:  # the crash cut the next chunk's append
+            intact = spec.wal_path.stat().st_size
+            with WriteAheadLog(spec.wal_path) as wal:
+                append_ingest_chunk(wal, n_chunks, packets[-1], lengths[-1])
+            data = spec.wal_path.read_bytes()
+            spec.wal_path.write_bytes(data[: intact + int((len(data) - intact) * torn)])
+        scheme, last_seq, replayed = recover(spec)
+        assert last_seq == n_chunks - 1
+        assert replayed == n_chunks - 1 - last_checkpoint
+        assert scheme.checkpoint().digest == live.checkpoint().digest
 
 
 @pytest.mark.parametrize("engine", ["batched", "scalar"])

@@ -220,7 +220,7 @@ class TestQuarantineStore:
         pkts = np.arange(50, dtype=np.uint64)
         quarantine_chunk(tmp_path, 0, 3, pkts, None, crashes=3, reason="a")
         with open(tmp_path / "quarantine.wal", "ab") as fh:
-            fh.write(struct.pack("<BIII", 0, 1, torn_rows, 0) + bytes(100))
+            fh.write(struct.pack("<BIII", 2, 1, torn_rows, 0) + bytes(100))
         quarantine_chunk(tmp_path, 0, 7, pkts + 100, None, crashes=3, reason="b")
         records = load_quarantine(tmp_path)
         assert [r.seq for r in records] == [3, 7]
