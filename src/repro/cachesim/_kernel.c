@@ -18,8 +18,9 @@
  * fr_pairs and fr_route are the multi-vantage fabric's router; they
  * share nothing with the cache table. sm_owners is the sharded
  * ingest's flow -> shard map; fr_route over one-node routes scatters
- * a chunk by its owners.
+ * a chunk by its owners. fu_fuse is the fabric's query-time fusion.
  */
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -541,5 +542,78 @@ void sm_owners(const Shards *m, const uint64_t *restrict ids, int64_t n,
         owners[i] = o;
         if (counts)
             counts[o]++;
+    }
+}
+
+
+/* Query-time fusion (repro/fabric/fusion.py documents the estimators).
+ * est[v][f], slopes[v][f] and floors[v][f] are vantage v's estimate of
+ * flow f and the slope and floor of its variance, the vantages in id
+ * order; a vantage whose estimate is not finite did not observe the
+ * flow. A flow with no finite estimate fuses to NaN, and one with a
+ * single finite estimate e to 0.0 + e. Any other flow takes a weighted
+ * mean x = sum(w * e) / sum(w), NaN unless sum(w) > 0, with
+ * w = 1 / max(var, min_variance) and var = slope * max(h, 0) + floor:
+ * the first pass puts each vantage's own estimate in h, and each of
+ * the next `passes` the previous pass's x (0 if x is not finite).
+ * Every sum starts from +0.0 and adds in vantage order, the order of
+ * numpy's axis-0 sum over two or more flows. A flow stops once x
+ * repeats bit for bit, since every later pass would repeat it too. */
+
+/* numpy's maximum(x, lo) for a number lo: the larger, a NaN x kept. */
+static inline double at_least(double x, double lo)
+{
+    return x < lo ? lo : x;
+}
+
+static inline double weighted_mean(const double *const *est, const double *const *slopes,
+                                   const double *const *floors, int64_t num_vantages, int64_t f,
+                                   const double *h, double min_variance)
+{
+    double num = 0.0, den = 0.0;
+    for (int64_t v = 0; v < num_vantages; v++) {
+        const double e = est[v][f];
+        if (!isfinite(e))
+            continue;
+        const double x = h ? *h : e;
+        const double w = 1.0 / at_least(slopes[v][f] * (isfinite(x) && x > 0.0 ? x : 0.0)
+                                            + floors[v][f],
+                                        min_variance);
+        den += w;
+        num += w * e;
+    }
+    return num / (den > 0.0 ? den : NAN);
+}
+
+void fu_fuse(const double *const *est, const double *const *slopes, const double *const *floors,
+             int64_t num_vantages, int64_t n, int64_t passes, double min_variance,
+             double *restrict out)
+{
+    for (int64_t f = 0; f < n; f++) {
+        int64_t seen = 0;
+        double only = 0.0;
+        for (int64_t v = 0; v < num_vantages; v++) {
+            const double e = est[v][f];
+            if (isfinite(e)) {
+                seen++;
+                only += e;
+            }
+        }
+        if (seen < 2) {
+            out[f] = seen ? only : NAN;
+            continue;
+        }
+        double x = weighted_mean(est, slopes, floors, num_vantages, f, NULL, min_variance);
+        for (int64_t p = 0; p < passes; p++) {
+            const double next = weighted_mean(est, slopes, floors, num_vantages, f, &x,
+                                              min_variance);
+            uint64_t a, b;
+            memcpy(&a, &x, sizeof a);
+            memcpy(&b, &next, sizeof b);
+            x = next;
+            if (a == b)
+                break;
+        }
+        out[f] = x;
     }
 }

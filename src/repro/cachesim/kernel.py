@@ -39,14 +39,17 @@ writes every node's observed substream of a chunk, sampling included.
 (:class:`~repro.runtime.partitioner.ShardMap`): ``sm_owners`` hashes
 flows to their owners and counts each shard's packets, and
 ``fr_route`` over one-node routes scatters a chunk by shard.
+:func:`fuse_weighted` runs the fabric's ``ivw`` and ``mle`` fusion
+(:mod:`repro.fabric.fusion`) in ``fu_fuse``, one flow at a time.
 
 Importing this module compiles ``_kernel.c`` with the system C compiler
 into the per-user cache directory, keyed by a hash of the source, the
 compiler, the flags and the machine type, and published atomically
 (compile to a temporary name, then rename); later imports only load it
 with :mod:`ctypes`. If the build fails the import still succeeds (the
-scalar path needs no kernel), but the batched path, the fabric router
-and the partition of a multi-shard map raise
+scalar path needs no kernel), but the batched path, the fabric's router
+and its ``ivw`` and ``mle`` fusion, and the partition of a multi-shard
+map raise
 :class:`~repro.errors.KernelBuildError` with the compiler's message.
 docs/performance.md has the full layout and argument.
 """
@@ -232,6 +235,8 @@ def _load() -> tuple[ctypes.CDLL | None, str]:
     lib.fr_route.restype = None
     lib.sm_owners.argtypes = (ctypes.POINTER(_Shards), _PTR, _I64, _PTR, _PTR)
     lib.sm_owners.restype = None
+    lib.fu_fuse.argtypes = (_PTR, _PTR, _PTR, _I64, _I64, _I64, ctypes.c_double, _PTR)
+    lib.fu_fuse.restype = None
     return lib, ""
 
 
@@ -707,6 +712,46 @@ class ShardTable:
         counts = np.zeros(self.num_shards, dtype=np.int64)
         owners = self.owners(packets, counts)
         return self._routes._fill(packets, lengths, 0, owners, counts)
+
+
+def fuse_weighted(
+    estimates: list[npt.NDArray[np.float64]],
+    slopes: list[npt.NDArray[np.float64]],
+    floors: list[npt.NDArray[np.float64]],
+    passes: int,
+    min_variance: float,
+) -> npt.NDArray[np.float64]:
+    """Fuse one estimate vector per vantage, the vantages in the order
+    given (``fu_fuse`` in ``_kernel.c`` has the arithmetic).
+
+    A flow no vantage observed (every estimate non-finite) fuses to
+    NaN, and one a single vantage observed to that estimate. Any other
+    flow is ``Σ w·e / Σ w`` over its observers, with ``w = 1 /
+    max(slope * max(h, 0) + floor, min_variance)``: ``h`` is each
+    vantage's own estimate in the first pass and the fused value in
+    each of ``passes`` more.
+    """
+    _require_kernel("fabric fusion")
+    columns = [
+        [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+        for arrays in (estimates, slopes, floors)
+    ]
+    n = len(columns[0][0]) if estimates else 0
+    if any(len(a) != n for arrays in columns for a in arrays):
+        raise ConfigError("every estimate, slope and floor vector must have one row per flow")
+    out = np.empty(n, dtype=np.float64)
+    est, slope, floor = (_addresses(arrays) for arrays in columns)
+    _LIB.fu_fuse(
+        est.ctypes.data,
+        slope.ctypes.data,
+        floor.ctypes.data,
+        len(estimates),
+        n,
+        passes,
+        min_variance,
+        out.ctypes.data,
+    )
+    return out
 
 
 def _address(array: np.ndarray | None) -> int | None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.metrics import evaluate
 from repro.core.config import CaesarConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import accuracy_table, build_caesar

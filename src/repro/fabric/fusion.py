@@ -20,17 +20,24 @@ sophistication:
   are re-evaluated at the current fused ``x`` and iterated to a fixed
   point (``var_i(x) = slope_i * x + floor_i`` is linear in ``x``, so a
   handful of fixed-point steps converge). The estimating equation is
-  ``x = Σ_i w_i(x) x̂_i / Σ_i w_i(x)``.
+  ``x = Σ_i w_i(x) x̂_i / Σ_i w_i(x)``. Its first pass is ``ivw``, so
+  ``ivw`` is ``mle`` with zero re-weighting passes.
+
+``ivw`` and ``mle`` run in the compiled kernel
+(:func:`repro.cachesim.kernel.fuse_weighted`), one flow at a time, and
+raise :class:`~repro.errors.KernelBuildError` without it; ``min`` is
+numpy.
 
 Determinism contract: all three fusers first sort observations by
-vantage id, so the float summation order — and therefore the fused
-value, bit for bit — is independent of the order vantages were
-queried or drained in. A flow observed by exactly one vantage passes
-that vantage's estimate through *unchanged* (no multiply-divide
-round-trip), which is what makes a one-vantage fabric bit-identical
-to plain :class:`~repro.core.sharded.ShardedCaesar`. Observations a
-degraded vantage returned as NaN are skipped per flow; a flow with no
-finite observation at all fuses to NaN.
+vantage id. Each weighted sum starts from +0.0 and adds the vantages in
+id order, so the fused value is the same bit for bit whatever order
+the vantages were queried or drained in, and whatever other flows the
+same query holds. A flow observed by exactly one vantage passes that
+vantage's estimate through *unchanged* (no multiply-divide round-trip;
+only -0.0 becomes +0.0), which is what makes a one-vantage fabric
+bit-identical to plain :class:`~repro.core.sharded.ShardedCaesar`.
+Observations a degraded vantage returned as NaN are skipped per flow;
+a flow with no finite observation at all fuses to NaN.
 """
 
 from __future__ import annotations
@@ -41,14 +48,16 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.analysis.metrics import relative_errors
+from repro.cachesim import kernel
 from repro.errors import ConfigError, QueryError
 
 #: Fusion estimators, in the CLI's vocabulary.
 FUSION_METHODS = ("min", "ivw", "mle")
 
 #: Fixed-point iterations for the weighted MLE. The variance model is
-#: linear in x, so the map contracts fast; a fixed count keeps the
-#: fuser deterministic (no data-dependent stopping).
+#: linear in x, so the map contracts fast. A flow stops early only once
+#: its fused value repeats bit for bit, which every later pass would
+#: repeat too, so the answer is that of all eight.
 MLE_ITERATIONS = 8
 
 #: Variance floor guarding the weight division (k=1 degenerates Eq. 22
@@ -110,83 +119,42 @@ def _canonical(
     return obs
 
 
-def _stacked(
-    observations: list[VantageObservation],
-) -> tuple[
-    npt.NDArray[np.float64],
-    npt.NDArray[np.float64],
-    npt.NDArray[np.float64],
-    npt.NDArray[np.bool_],
-]:
-    est = np.stack([np.asarray(o.estimates, dtype=np.float64) for o in observations])
-    slope = np.stack([np.asarray(o.var_slope, dtype=np.float64) for o in observations])
-    floor = np.stack([np.asarray(o.var_floor, dtype=np.float64) for o in observations])
-    return est, slope, floor, np.isfinite(est)
-
-
-def _passthrough_singles(
-    fused: npt.NDArray[np.float64],
-    est: npt.NDArray[np.float64],
-    mask: npt.NDArray[np.bool_],
-) -> npt.NDArray[np.float64]:
-    """Flows with exactly one finite observation pass it through
-    bit-exactly: ``(w * x) / w`` is not ``x`` in floats, and the
-    one-vantage fabric's bit-identity contract rides on this."""
-    counts = mask.sum(axis=0)
-    single = counts == 1
-    if single.any():
-        only = np.where(mask, est, 0.0).sum(axis=0)
-        fused[single] = only[single]
-    fused[counts == 0] = np.nan
-    return fused
-
-
 def fuse_min(
     observations: list[VantageObservation] | tuple[VantageObservation, ...],
 ) -> npt.NDArray[np.float64]:
     """Smallest finite observation per flow (count-min style clamp)."""
-    est, _, _, mask = _stacked(_canonical(observations))
+    est = np.stack([np.asarray(o.estimates, dtype=np.float64) for o in _canonical(observations)])
+    mask = np.isfinite(est)
     fused = np.where(mask, est, np.inf).min(axis=0)
     fused[~mask.any(axis=0)] = np.nan
     return fused
 
 
-def _weighted_mean(
-    est: npt.NDArray[np.float64],
-    var: npt.NDArray[np.float64],
-    mask: npt.NDArray[np.bool_],
+def _fuse_weighted(
+    observations: list[VantageObservation] | tuple[VantageObservation, ...], passes: int
 ) -> npt.NDArray[np.float64]:
-    w = np.where(mask, 1.0 / np.maximum(var, _MIN_VARIANCE), 0.0)
-    total = w.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(mask, w * est, 0.0).sum(axis=0) / np.where(
-            total > 0.0, total, np.nan
-        )
+    obs = _canonical(observations)
+    return kernel.fuse_weighted(
+        [o.estimates for o in obs],
+        [o.var_slope for o in obs],
+        [o.var_floor for o in obs],
+        passes,
+        _MIN_VARIANCE,
+    )
 
 
 def fuse_ivw(
     observations: list[VantageObservation] | tuple[VantageObservation, ...],
 ) -> npt.NDArray[np.float64]:
     """Inverse-variance weighting at each vantage's plug-in variance."""
-    obs = _canonical(observations)
-    est, slope, floor, mask = _stacked(obs)
-    var = slope * np.maximum(np.where(mask, est, 0.0), 0.0) + floor
-    fused = _weighted_mean(est, var, mask)
-    return _passthrough_singles(fused, est, mask)
+    return _fuse_weighted(observations, 0)
 
 
 def fuse_mle(
     observations: list[VantageObservation] | tuple[VantageObservation, ...],
 ) -> npt.NDArray[np.float64]:
     """Weighted MLE: iterate the size-dependent weights to a fixed point."""
-    obs = _canonical(observations)
-    est, slope, floor, mask = _stacked(obs)
-    var0 = slope * np.maximum(np.where(mask, est, 0.0), 0.0) + floor
-    x = _weighted_mean(est, var0, mask)
-    for _ in range(MLE_ITERATIONS):
-        var = slope * np.maximum(np.where(np.isfinite(x), x, 0.0), 0.0)[None, :] + floor
-        x = _weighted_mean(est, var, mask)
-    return _passthrough_singles(x, est, mask)
+    return _fuse_weighted(observations, MLE_ITERATIONS)
 
 
 _FUSERS = {"min": fuse_min, "ivw": fuse_ivw, "mle": fuse_mle}

@@ -198,7 +198,8 @@ class TestBenchSuiteRuns:
                 "--benchmark-disable", "-q", "-p", "no:cacheprovider",
                 "-k", "split or banked or metrics_enabled or bitpacked"
                       " or cache_kernel_zipf or caesar_drain_zipf"
-                      " or ingest_wal or partition or fabric_route",
+                      " or ingest_wal or partition or fabric_route"
+                      " or fusion_query",
             ],
             env=_bench_env(), capture_output=True, text=True, cwd=REPO_ROOT,
         )

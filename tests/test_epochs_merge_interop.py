@@ -5,7 +5,6 @@ compositions a deployment would actually run.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.caesar import Caesar
 from repro.core.config import CaesarConfig

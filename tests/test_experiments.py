@@ -1,7 +1,6 @@
 """Experiment-harness tests: every registered experiment runs on a tiny
 setup and reproduces the paper's qualitative findings."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError

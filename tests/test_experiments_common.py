@@ -1,6 +1,5 @@
 """Tests for the shared experiment plumbing (experiments/common.py)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import accuracy_table, build_caesar, build_case, build_rcs

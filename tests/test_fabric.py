@@ -9,8 +9,9 @@ The two headline contracts from docs/fabric.md:
   error than the best single vantage on the seeded Zipf trace.
 
 Plus the fusion math properties (permutation invariance over vantage
-order, NaN/degraded handling), topology routing invariants, sampling
-determinism, and drain-order independence.
+order, NaN/degraded handling, the compiled fusers against a numpy
+reference), topology routing invariants, sampling determinism, and
+drain-order independence.
 """
 
 import numpy as np
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cachesim import kernel
 from repro.core.config import CaesarConfig
 from repro.core.sharded import ShardedCaesar
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError, KernelBuildError, QueryError
 from repro.fabric import (
     Fabric,
     VantageObservation,
@@ -36,6 +38,7 @@ from repro.fabric import (
     tree_topology,
     vantage_caesar_config,
 )
+from repro.fabric.fusion import MLE_ITERATIONS
 from repro.traffic.trace import default_paper_trace
 
 
@@ -295,6 +298,123 @@ class TestFusionProperties:
         assert report.fused_flows == 2
 
 
+# -- compiled fusers against the numpy reference -----------------------------
+
+
+def row_sum(rows):
+    """Axis-0 sum as an explicit loop over vantage rows, from +0.0."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total = total + row
+    return total
+
+
+def numpy_weighted_mean(est, var, mask, sum_rows):
+    w = np.where(mask, 1.0 / np.maximum(var, 1e-12), 0.0)
+    total = sum_rows(w)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sum_rows(np.where(mask, w * est, 0.0)) / np.where(total > 0.0, total, np.nan)
+
+
+def numpy_passthrough_singles(fused, est, mask, sum_rows):
+    """Flows with one finite observation take it (as a sum from +0.0);
+    flows with none take NaN."""
+    counts = mask.sum(axis=0)
+    single = counts == 1
+    fused[single] = sum_rows(np.where(mask, est, 0.0))[single]
+    fused[counts == 0] = np.nan
+    return fused
+
+
+def numpy_fuse(observations, passes, sum_rows=row_sum):
+    """The ivw (``passes=0``) and mle fusers in numpy, independent of the
+    kernel: a first weighted mean at each vantage's own estimate, then
+    ``passes`` re-weightings at the fused value."""
+    obs = sorted(observations, key=lambda o: o.vantage)
+    est, slope, floor = (
+        np.stack([getattr(o, name) for o in obs])
+        for name in ("estimates", "var_slope", "var_floor")
+    )
+    mask = np.isfinite(est)
+    var = slope * np.maximum(np.where(mask, est, 0.0), 0.0) + floor
+    x = numpy_weighted_mean(est, var, mask, sum_rows)
+    for _ in range(passes):
+        var = slope * np.maximum(np.where(np.isfinite(x), x, 0.0), 0.0)[None, :] + floor
+        x = numpy_weighted_mean(est, var, mask, sum_rows)
+    return numpy_passthrough_singles(x, est, mask, sum_rows)
+
+
+@st.composite
+def fusion_cases(draw):
+    """1–16 vantages under distinct ids in any order, 0–64 flows. Some
+    vantages observe nothing and some flows one vantage or none;
+    estimates include ±0.0 and negatives, slopes and floors exact
+    zeros (the variance clamp), and floors +inf (a zero weight)."""
+    num_vantages = draw(st.integers(min_value=1, max_value=16))
+    num_flows = draw(st.integers(min_value=0, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (num_vantages, num_flows)
+    est = rng.normal(200.0, 400.0, size=shape)
+    est[rng.random(shape) < 0.1] = 0.0
+    est[rng.random(shape) < 0.1] = -0.0
+    seen = rng.random(shape) < draw(st.floats(min_value=0.0, max_value=1.0))
+    seen[rng.random(num_vantages) < 0.2] = False
+    for f in np.flatnonzero(rng.random(num_flows) < 0.2):
+        seen[:, f] = False
+        seen[rng.integers(num_vantages), f] = rng.random() < 0.7
+    est[~seen] = rng.choice([np.nan, np.inf, -np.inf], size=int((~seen).sum()))
+    slope = rng.uniform(0.0, 10.0, size=shape)
+    slope[rng.random(shape) < 0.3] = 0.0
+    floor = rng.uniform(0.0, 100.0, size=shape)
+    floor[rng.random(shape) < 0.3] = 0.0
+    floor[rng.random(shape) < 0.1] = np.inf
+    ids = rng.choice(4 * num_vantages, size=num_vantages, replace=False)
+    return [
+        VantageObservation(vantage=int(v), estimates=est[i], var_slope=slope[i], var_floor=floor[i])
+        for i, v in enumerate(ids)
+    ]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestCompiledFusion:
+    @settings(max_examples=300, deadline=None)
+    @given(fusion_cases())
+    def test_matches_numpy_reference_bit_for_bit(self, obs):
+        for fuser, passes in ((fuse_ivw, 0), (fuse_mle, MLE_ITERATIONS)):
+            np.testing.assert_array_equal(bits(fuser(obs)), bits(numpy_fuse(obs, passes)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fusion_cases().filter(lambda obs: len(obs[0].estimates) >= 2))
+    def test_reference_sums_as_numpy_does_over_two_or_more_flows(self, obs):
+        """Over two or more flows numpy's axis-0 sum adds the vantage
+        rows in order from +0.0, the order the kernel uses."""
+        for passes in (0, MLE_ITERATIONS):
+            np.testing.assert_array_equal(
+                bits(numpy_fuse(obs, passes, lambda rows: rows.sum(axis=0))),
+                bits(numpy_fuse(obs, passes)),
+            )
+
+    def test_mle_needs_the_kernel_and_min_does_not(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_LIB", None)
+        monkeypatch.setattr(kernel, "_BUILD_ERROR", "cc: fatal error: no input files")
+        obs = [
+            VantageObservation(
+                vantage=v,
+                estimates=np.array([3.0 + v, np.nan]),
+                var_slope=np.zeros(2),
+                var_floor=np.ones(2),
+            )
+            for v in range(2)
+        ]
+        for method in ("ivw", "mle"):
+            with pytest.raises(KernelBuildError, match="fabric fusion"):
+                fuse(obs, method)
+        np.testing.assert_array_equal(fuse(obs, "min"), [3.0, np.nan])
+
+
 # -- vantage seeding ---------------------------------------------------------
 
 
@@ -435,6 +555,25 @@ class TestFabricPipeline:
         assert report.fused_flows == small_trace.num_flows
         assert set(report.per_vantage_are) == {0, 1, 2}
         assert np.isfinite(report.fused_are)
+
+
+class TestQueryIndependence:
+    """A flow's fused value does not depend on what else is queried.
+    numpy sums a one-flow ``(V, 1)`` matrix pairwise once ``V >= 8``
+    but a batch's rows in order, so on these topologies (15 and 13
+    vantages) a numpy fuser answers a flow alone differently."""
+
+    @pytest.mark.parametrize("spec", ["FAT-TREE:6", "TREE:2x3"])
+    def test_flow_queried_alone_equals_its_batch_row(self, small_trace, spec):
+        fabric = Fabric(make_config(small_trace), parse_topology(spec))
+        fabric.ingest_stream(small_trace.packets, chunk_packets=7000)
+        fabric.drain()
+        assert fabric.topology.num_nodes >= 8
+        ids = np.unique(small_trace.flows.ids)[:400]
+        for method in ("ivw", "mle"):
+            batch = fabric.query(ids, fusion=method)
+            alone = [fabric.query([f], fusion=method)[0] for f in ids]
+            np.testing.assert_array_equal(bits(alone), bits(batch))
 
 
 class TestSampling:

@@ -1,7 +1,6 @@
 """Unit tests for flow-ID derivation from headers."""
 
 import numpy as np
-import pytest
 
 from repro.hashing import flowid
 from repro.types import FiveTuple

@@ -1,7 +1,6 @@
 """Unit tests for the 64-bit mixers."""
 
 import numpy as np
-import pytest
 
 from repro.hashing import mix
 

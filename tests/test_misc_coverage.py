@@ -9,7 +9,6 @@ from repro.baselines.compression.disco import DiscoCurve
 from repro.cachesim.base import CacheStats, EvictionReason
 from repro.core.config import CaesarConfig
 from repro.core.epochs import EpochalCaesar
-from repro.errors import ConfigError
 from repro.memmodel.technologies import LatencyModel
 
 

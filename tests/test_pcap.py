@@ -7,8 +7,6 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.traffic.pcap import (
-    PCAP_MAGIC,
-    CapturedPacket,
     pcap_to_streams,
     read_pcap,
     write_pcap,
